@@ -23,13 +23,9 @@ import numpy as np
 
 from .arithmetic import ArithmeticContext, arith
 from .errors import DomainError, LevelRangeError
-from .generator import ExtendedGenerator, sine_extended
+from .generator import ExtendedGenerator, _default_extended
 
 TWO_PI = 2.0 * math.pi
-
-
-def _default(egen: ExtendedGenerator | None) -> ExtendedGenerator:
-    return sine_extended() if egen is None else egen
 
 
 def reduced_angle(delta):
@@ -160,7 +156,7 @@ def singlet_from_hidden(a1_angle: float, a2_angle: float,
     non-Newtonian-integral representation of the same number is exercised by
     the cross-check suite through a G-driven level function.
     """
-    gmap = GMap(_default(egen))
+    gmap = GMap(_default_extended(egen))
     return gmap.forward(hidden_overlap(a1_angle, a2_angle))
 
 
@@ -186,7 +182,7 @@ def ch_value_level1(quad: AngleQuad, egen: ExtendedGenerator | None = None) -> f
     the value provably lies in [0, 2] for every quad.
     """
     quad = AngleQuad(*quad)
-    ctx = ArithmeticContext(_default(egen), 1)
+    ctx = ArithmeticContext(_default_extended(egen), 1)
     t1 = _conditional(quad.a - quad.b)
     t2 = _conditional(quad.a - quad.b_prime)
     t3 = _conditional(quad.a_prime - quad.b)
@@ -238,7 +234,7 @@ def ch_scan(resolution: float, egen: ExtendedGenerator | None = None) -> ChScanR
     """
     if resolution <= 0.0:
         raise DomainError("resolution must be positive")
-    egen = _default(egen)
+    egen = _default_extended(egen)
     n = max(4, int(round(TWO_PI / resolution)))
     step = TWO_PI / n
     grid = np.arange(n) * step

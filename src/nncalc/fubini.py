@@ -23,13 +23,9 @@ import numpy as np
 
 from .arithmetic import ArithmeticContext, arith
 from .errors import DomainError
-from .generator import ExtendedGenerator, eval_iterate, sine_extended
+from .generator import ExtendedGenerator, _default_extended, eval_iterate
 
 HALF_PI = 0.5 * math.pi
-
-
-def _default(egen: ExtendedGenerator | None) -> ExtendedGenerator:
-    return sine_extended() if egen is None else egen
 
 
 def geodesic_distance(a, b) -> float:
@@ -65,7 +61,7 @@ def ladder(P: float, k_from: int, k_to: int,
         raise DomainError(f"P must lie in [0,1], got {P!r}")
     if k_from > k_to:
         raise DomainError("k_from must not exceed k_to")
-    egen = _default(egen)
+    egen = _default_extended(egen)
     p0 = hidden_prob(math.acos(math.sqrt(P)))
     return [eval_iterate(egen, j, p0) for j in range(k_from, k_to + 1)]
 
@@ -109,7 +105,7 @@ def lifted_form_value(form: RealQuadraticForm, a,
     that identity is the tested contract, intermediate values depend on the
     choice of extension.
     """
-    egen = _default(egen)
+    egen = _default_extended(egen)
     ctx = ArithmeticContext(egen, 1)
     a = np.asarray(a, dtype=complex)
     x = a.real

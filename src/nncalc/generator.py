@@ -26,14 +26,23 @@ from .errors import ConfigError, DomainError, LevelRangeError
 LEVEL_CAP = 64
 
 _TWO_OVER_PI = 2.0 / math.pi
+_HALF_PI = 0.5 * math.pi
+_SCALAR_TYPES = (float, int, np.floating)
+
+
+def _is_finite_scalar(x) -> bool:
+    """True for a finite Python or numpy real scalar; no array counts, not even 0-d."""
+    return isinstance(x, _SCALAR_TYPES) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
 class Generator:
     """A strictly increasing bijection of [0,1] with the complement symmetry.
 
-    ``forward`` and ``inverse`` must accept floats or numpy arrays.  Values
-    are immutable after construction and safe to share across threads.
+    ``forward`` and ``inverse`` must accept floats or numpy arrays.  The sine
+    generator maps a finite scalar to a builtin ``float`` that is bitwise
+    equal to the corresponding element of the array result.  Values are
+    immutable after construction and safe to share across threads.
     """
 
     name: str
@@ -53,16 +62,37 @@ def make_sine_generator() -> Generator:
     three fixed points 0, 1/2, 1 exact in floating point and gives full
     relative accuracy near both endpoints, where naive shifted-sine forms
     cancel catastrophically.  The inverse (2/pi) arcsin(sqrt(P)) is closed
-    form, mirrored the same way.
+    form, mirrored the same way.  Finite scalars take the same branches
+    without building an array.  ``math.sin`` and ``math.sqrt`` agree with
+    numpy bitwise (the equivalence tests check this); ``math.asin`` does
+    not, so arcsin stays on numpy's ufunc.
     """
 
     def forward(p):
+        if _is_finite_scalar(p):
+            p = float(p)  # a numpy float32 would keep the arithmetic in float32
+            if p == 0.5:
+                return 0.5
+            if p < 0.5:
+                s = math.sin(_HALF_PI * p)
+                return s * s  # arrays square as x*x; a float's ** 2 calls pow()
+            s = math.sin(_HALF_PI * (1.0 - p))
+            return 1.0 - s * s
         p = np.asarray(p, dtype=float)
         lo = np.sin(0.5 * np.pi * np.minimum(p, 0.5)) ** 2
         hi = 1.0 - np.sin(0.5 * np.pi * (1.0 - np.maximum(p, 0.5))) ** 2
         return np.where(p == 0.5, 0.5, np.where(p < 0.5, lo, hi))
 
     def inverse(P):
+        if _is_finite_scalar(P):
+            P = float(P)
+            if P == 0.5:
+                return 0.5
+            if P < 0.5:
+                # P > 0.0 rather than max(): numpy's maximum maps -0.0 to +0.0
+                return _TWO_OVER_PI * float(np.arcsin(math.sqrt(P if P > 0.0 else 0.0)))
+            Q = 1.0 - P
+            return 1.0 - _TWO_OVER_PI * float(np.arcsin(math.sqrt(Q if Q > 0.0 else 0.0)))
         P = np.asarray(P, dtype=float)
         lo = _TWO_OVER_PI * np.arcsin(np.sqrt(np.minimum(np.maximum(P, 0.0), 0.5)))
         hi = 1.0 - _TWO_OVER_PI * np.arcsin(np.sqrt(np.maximum(1.0 - np.maximum(P, 0.5), 0.0)))
@@ -166,6 +196,12 @@ def h_view(gen: Generator, x):
     return float(out) if out.ndim == 0 else out
 
 
+def _unit_cell(fn: Callable, x: float) -> float:
+    """floor(x) + fn(x - floor(x)) on a finite float, without numpy."""
+    n = float(math.floor(x))
+    return n + float(fn(x - n))
+
+
 class ExtendedGenerator:
     """A generator promoted to a strictly increasing bijection of the real line.
 
@@ -175,6 +211,12 @@ class ExtendedGenerator:
     ``(forward_outside, inverse_outside)`` used for arguments outside [0,1];
     this exists to let tests demonstrate how results on arguments leaving the
     unit interval depend on the choice of extension.
+
+    Under the default extension a finite scalar argument never becomes a
+    numpy array: ``forward``, ``inverse`` and ``iterate`` return a builtin
+    ``float`` bitwise equal to what the same value gives inside an array.
+    Arrays (0-d included), non-finite scalars and custom extensions take the
+    array path.
     """
 
     def __init__(self, base: Generator, extension: tuple[Callable, Callable] | None = None):
@@ -190,6 +232,8 @@ class ExtendedGenerator:
         return f"ExtendedGenerator({self.base.name!r}, extension={rule})"
 
     def forward(self, x):
+        if self._extension is None and _is_finite_scalar(x):
+            return _unit_cell(self.base.forward, float(x))
         arr = np.asarray(x, dtype=float)
         if self._extension is None:
             n = np.floor(arr)
@@ -203,6 +247,8 @@ class ExtendedGenerator:
         return float(out) if out.ndim == 0 else out
 
     def inverse(self, y):
+        if self._extension is None and _is_finite_scalar(y):
+            return _unit_cell(self.base.inverse, float(y))
         arr = np.asarray(y, dtype=float)
         if self._extension is None:
             n = np.floor(arr)
@@ -219,6 +265,12 @@ class ExtendedGenerator:
         """k-fold self-composition g_R^k (inverse composition for k < 0)."""
         if abs(k) > cap:
             raise LevelRangeError(f"|k| = {abs(k)} exceeds the iteration cap {cap}")
+        if self._extension is None and _is_finite_scalar(x):
+            out = float(x) + 0.0  # -0.0 -> 0.0, as the array path does at k = 0
+            fn = self.base.forward if k > 0 else self.base.inverse
+            for _ in range(abs(k)):
+                out = _unit_cell(fn, out)
+            return out
         arr = np.asarray(x, dtype=float)
         if k == 0:
             out = arr + 0.0
@@ -234,7 +286,11 @@ _clamp_count = 0
 
 
 def clamp_count() -> int:
-    """Number of probability-domain values clamped back into [0,1] so far."""
+    """Number of probability-domain values clamped back into [0,1] so far.
+
+    One process-wide counter, shared by all threads; its increments are not
+    atomic, so some can be lost when threads clamp concurrently.
+    """
     return _clamp_count
 
 
@@ -253,6 +309,11 @@ def eval_iterate(egen: ExtendedGenerator, k: int, x, cap: int = LEVEL_CAP):
     """
     global _clamp_count
     out = egen.iterate(x, k, cap=cap)
+    if _is_finite_scalar(x):
+        if 0.0 <= x <= 1.0 and (out < 0.0 or out > 1.0):
+            _clamp_count += 1
+            out = 0.0 if out < 0.0 else 1.0
+        return out
     arr = np.asarray(x, dtype=float)
     if np.all((arr >= 0.0) & (arr <= 1.0)):
         res = np.asarray(out)
@@ -273,6 +334,11 @@ def sine_extended() -> ExtendedGenerator:
     if _SINE_EXTENDED is None:
         _SINE_EXTENDED = ExtendedGenerator(make_sine_generator())
     return _SINE_EXTENDED
+
+
+def _default_extended(egen: ExtendedGenerator | None) -> ExtendedGenerator:
+    """``egen``, or the shared sine extension when it is None."""
+    return sine_extended() if egen is None else egen
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ApplicabilityError, DomainError
-from .generator import ExtendedGenerator, eval_iterate, sine_extended
+from .generator import ExtendedGenerator, _default_extended, eval_iterate
 
 #: switch binomial coefficients to log-space above this trial count
 _EXACT_COMB_MAX = 50
-
-
-def _default(egen: ExtendedGenerator | None) -> ExtendedGenerator:
-    return sine_extended() if egen is None else egen
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,7 @@ class LevelBinomial:
             raise DomainError(f"success probability must lie in [0,1], got {self.p!r}")
 
     def _egen(self) -> ExtendedGenerator:
-        return _default(self.egen)
+        return _default_extended(self.egen)
 
     def effective_p(self) -> float:
         """g^{k-l}(p): the success probability seen after collapsing levels."""
@@ -153,7 +149,7 @@ def fig3_table(l_values: Iterable[int], n_range: Sequence[int], eps: float,
     """
     if eps <= 0.0:
         raise DomainError("eps must be positive")
-    egen = _default(egen)
+    egen = _default_extended(egen)
     rows = []
     for l in l_values:
         for N in n_range:

@@ -23,18 +23,14 @@ import numpy as np
 
 from .arithmetic import ArithmeticContext, level_prod, level_sum
 from .errors import ConfigError, DomainError
-from .generator import ExtendedGenerator, eval_iterate, sine_extended
-
-
-def _default(egen: ExtendedGenerator | None) -> ExtendedGenerator:
-    return sine_extended() if egen is None else egen
+from .generator import ExtendedGenerator, _default_extended, eval_iterate
 
 
 def level_shift(p: float, k: int, egen: ExtendedGenerator | None = None) -> float:
     """The level-k image g^k(p) of a probability, again in [0,1]."""
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability must lie in [0,1], got {p!r}")
-    return eval_iterate(_default(egen), k, p)
+    return eval_iterate(_default_extended(egen), k, p)
 
 
 def normalization_residual(p: float, k: int, l: int,
@@ -47,7 +43,7 @@ def normalization_residual(p: float, k: int, l: int,
     therefore amplified roughly like its 2^|l|-th root unless the iterates
     have saturated exactly.
     """
-    egen = _default(egen)
+    egen = _default_extended(egen)
     u = level_shift(p, k, egen)
     v = level_shift(1.0 - p, k, egen)
     ctx = ArithmeticContext(egen, l)
@@ -62,7 +58,7 @@ def joint_product(conds: Sequence[tuple[float, int]], l: int = 0,
     the fold of the level-l multiplication over g^{k_j}(p_j).  For l = 0
     this is the plain product of the shifted factors.
     """
-    egen = _default(egen)
+    egen = _default_extended(egen)
     factors = [level_shift(p, k, egen) for p, k in conds]
     return level_prod(ArithmeticContext(egen, l), factors)
 
@@ -186,7 +182,7 @@ def tree_normalization(tree: CondTree, egen: ExtendedGenerator | None = None) ->
     """Level-l sum of the joint probabilities over all leaves (brute-force
     enumeration); equals 1 up to the level-l amplification discussed in
     :func:`normalization_residual`."""
-    egen = _default(egen)
+    egen = _default_extended(egen)
     joints = [tree_joint(tree, path, egen) for path in tree.leaf_paths()]
     return level_sum(ArithmeticContext(egen, tree.sum_level), joints)
 

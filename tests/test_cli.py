@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +199,28 @@ def test_byte_determinism(tmp_path):
         _, first = run_to_file(tmp_path, args, name=f"a{i}.txt")
         _, second = run_to_file(tmp_path, args, name=f"b{i}.txt")
         assert first == second, args
+
+
+def _readme_commands():
+    """Every command of the README's CLI ``sh`` block, as an argv without the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("nncalc ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(json.dumps({"components": [[1.0, 0.0], [0.0, 0.0]]}))
+    (tmp_path / "b.json").write_text(json.dumps({"components": [[0.6, 0.0], [0.0, 0.8]]}))
+    for i, args in enumerate(commands):
+        if "--out" not in args:
+            args = args + ["--out", str(tmp_path / f"stdout{i}.txt")]
+        try:
+            code = run(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0, args

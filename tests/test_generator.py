@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -305,3 +307,90 @@ def test_load_generator_from_file(tmp_path):
     assert gen.name.startswith("convex")
     with pytest.raises(ConfigError):
         load_generator(str(tmp_path / "missing.json"))
+
+
+# ------------------------------------------------- scalar path against array path
+
+EQUIV_LEVELS = (-15, -5, -2, -1, 0, 1, 2, 5, 15)
+# each convex inverse is a bisection, so the convex case keeps to low levels
+CONVEX_LEVELS = (-2, -1, 0, 1, 2)
+EDGE_VALUES = [0.0, -0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0,
+               math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), -1.0, 2.0, -3.0, 3, -2,
+               5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+               np.float64(0.25), np.float32(0.75)]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+EQUIVALENCE_CASES = [
+    (ExtendedGenerator(make_sine_generator()), EQUIV_LEVELS),
+    (ExtendedGenerator(make_identity_generator()), EQUIV_LEVELS),
+    (ExtendedGenerator(convex_combine([make_sine_generator(), make_identity_generator()],
+                                      [0.3, 0.7])), CONVEX_LEVELS),
+]
+
+
+def _bits(value) -> int:
+    return int(np.asarray(value, dtype=float).reshape(-1).view(np.int64)[0])
+
+
+def _assert_scalar_matches_array(egen, levels, x):
+    arr = np.array([x], dtype=float)
+    pairs = [(egen.forward(x), egen.forward(arr)), (egen.inverse(x), egen.inverse(arr))]
+    for k in levels:
+        pairs.append((egen.iterate(x, k), egen.iterate(arr, k)))
+        pairs.append((eval_iterate(egen, k, x), eval_iterate(egen, k, arr)))
+    for scalar, array in pairs:
+        assert type(scalar) is float, (egen, x)
+        assert _bits(scalar) == _bits(array), (egen, x, scalar, array)
+
+
+@given(st.floats(min_value=-3.0, max_value=3.0))
+def test_scalar_path_bitwise_equals_array_path(x):
+    for egen, levels in EQUIVALENCE_CASES:
+        _assert_scalar_matches_array(egen, levels, x)
+
+
+@pytest.mark.parametrize("x", EDGE_VALUES + NON_FINITE, ids=repr)
+def test_scalar_path_edge_values(x):
+    with np.errstate(invalid="ignore"):
+        for egen, levels in EQUIVALENCE_CASES:
+            _assert_scalar_matches_array(egen, levels, x)
+
+
+def test_scalar_path_matches_long_array_kernels(rng):
+    # long arrays run numpy's vector loops; scalar results must still agree
+    xs = np.concatenate([rng.uniform(-3.0, 3.0, 4000), rng.random(4000)])
+    for egen, _ in EQUIVALENCE_CASES[:2]:
+        for fn in (egen.forward, egen.inverse, lambda v: eval_iterate(egen, 5, v),
+                   lambda v: eval_iterate(egen, -5, v)):
+            scalar = np.array([fn(float(x)) for x in xs])
+            assert np.array_equal(scalar.view(np.int64), np.asarray(fn(xs)).view(np.int64))
+
+
+def test_sine_generator_scalar_path(sine_gen, rng):
+    # the unit-cell sum n + g(x - n) hides the sign of a zero; the bare
+    # generator shows it
+    for fn in (sine_gen.forward, sine_gen.inverse):
+        for x in EDGE_VALUES + list(rng.uniform(-3.0, 3.0, 500)):
+            out = fn(x)
+            assert type(out) is float
+            assert _bits(out) == _bits(fn(np.array([x], dtype=float))), x
+
+
+def test_clamp_count_same_on_scalar_and_array_paths():
+    wobble = Generator("wobble",
+                       forward=lambda p: np.asarray(p, dtype=float) * (1.0 + 4e-16),
+                       inverse=lambda P: np.asarray(P, dtype=float) / (1.0 + 4e-16))
+    # the custom extension of test_clamp_counter, and the default extension
+    # just below 1, where g_R(x) = 0 + wobble(x) overshoots
+    cases = [(ExtendedGenerator(wobble, extension=(lambda x: x, lambda x: x)), 1.0),
+             (ExtendedGenerator(wobble), math.nextafter(1.0, 0.0))]
+    for eg, x in cases:
+        deltas, outs = [], []
+        for arg in (x, np.array([x])):
+            before = clamp_count()
+            outs.append(eval_iterate(eg, 1, arg))
+            deltas.append(clamp_count() - before)
+        assert deltas == [1, 1]
+        assert type(outs[0]) is float
+        assert _bits(outs[0]) == _bits(outs[1]) == _bits(1.0)
