@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DomainError, PullbackDivisionError
 from .generator import ExtendedGenerator
@@ -46,6 +46,19 @@ class ArithmeticContext:
         return self.egen.iterate(x, -self.level)
 
 
+def _push_finite(ctx: ArithmeticContext, what: str, base: float) -> float:
+    if not math.isfinite(base):  # the push would turn inf into NaN
+        raise DomainError(f"{what} at level {ctx.level}: base-level result {base!r} is not finite")
+    return ctx.egen.iterate(base, ctx.level)  # ctx.push, one call less on the scalar path
+
+
+def _inf_on_overflow(op: Callable, *args) -> float:
+    try:
+        return op(*args)
+    except OverflowError:  # float ** int and fsum raise where * and + give inf
+        return math.inf
+
+
 def arith(ctx: ArithmeticContext, kind: str, x: float, y: float) -> float:
     """Apply one of add/sub/mul/div in the arithmetic of ``ctx.level``."""
     try:
@@ -57,7 +70,7 @@ def arith(ctx: ArithmeticContext, kind: str, x: float, y: float) -> float:
     if kind == "div" and py == 0.0:
         raise PullbackDivisionError(
             f"division by {y!r} whose level-{ctx.level} pullback is 0", pullback=py)
-    return ctx.push(op(px, py))
+    return _push_finite(ctx, kind, op(px, py))
 
 
 def embed_natural(ctx: ArithmeticContext, n: int) -> float:
@@ -77,7 +90,7 @@ def power(ctx: ArithmeticContext, x: float, n: int) -> float:
     """The n-fold level-k product of x, evaluated as g^k(g^{-k}(x)^n)."""
     if n < 1:
         raise DomainError("power exponent must be a positive integer")
-    return ctx.push(ctx.pull(x) ** n)
+    return _push_finite(ctx, "power", _inf_on_overflow(operator.pow, ctx.pull(x), n))
 
 
 def compare(x: float, y: float) -> str:
@@ -99,13 +112,9 @@ def level_sum(ctx: ArithmeticContext, values: Iterable[float]) -> float:
     Associativity lets the fold be evaluated with a single push of the
     compensated base-level sum; pairwise folding agrees within roundoff.
     """
-    total = math.fsum(ctx.pull(v) for v in values)
-    return ctx.push(total)
+    return _push_finite(ctx, "level_sum", _inf_on_overflow(math.fsum, map(ctx.pull, values)))
 
 
 def level_prod(ctx: ArithmeticContext, values: Iterable[float]) -> float:
     """Fold of the level-k multiplication over ``values`` (single-push form)."""
-    total = 1.0
-    for v in values:
-        total *= ctx.pull(v)
-    return ctx.push(total)
+    return _push_finite(ctx, "level_prod", math.prod(map(ctx.pull, values)))

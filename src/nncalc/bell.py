@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arithmetic import ArithmeticContext, arith
-from .errors import DomainError, LevelRangeError
-from .generator import ExtendedGenerator, _default_extended
+from .errors import DomainError
+from .generator import LEVEL_CAP, ExtendedGenerator, _default_extended
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,17 +135,9 @@ class GMap:
     def inverse(self, y):
         return 0.5 * self.egen.inverse(2.0 * y)
 
-    def iterate(self, x, k: int, cap: int = 64):
-        if abs(k) > cap:
-            raise LevelRangeError(f"|k| = {abs(k)} exceeds the iteration cap {cap}")
-        step = self.forward if k > 0 else self.inverse
-        out = x
-        for _ in range(abs(k)):
-            out = step(out)
-        return out
-
-    def __call__(self, x):
-        return self.forward(x)
+    def iterate(self, x, k: int, cap: int = LEVEL_CAP):
+        """G^k = S^-1 g_R^k S for S(x) = 2x, exact because scaling by 2 is."""
+        return 0.5 * self.egen.iterate(2.0 * x, k, cap)
 
 
 def singlet_from_hidden(a1_angle: float, a2_angle: float,

@@ -38,11 +38,7 @@ class IdentityBijection:
     def forward(self, x):
         return x if isinstance(x, float) else float(x)
 
-    def inverse(self, y):
-        return y if isinstance(y, float) else float(y)
-
-    def iterate(self, x, k: int, cap: int = 64):
-        return self.forward(x)
+    inverse = forward
 
 
 def identity_bijection() -> IdentityBijection:
@@ -57,8 +53,8 @@ class PairArithmetic:
     ``forward``/``inverse`` callables on the reals (extended generators do).
     """
 
-    f1: ExtendedGenerator
-    f2: ExtendedGenerator
+    f1: ExtendedGenerator | IdentityBijection
+    f2: ExtendedGenerator | IdentityBijection
 
     @classmethod
     def identity(cls) -> "PairArithmetic":
@@ -141,7 +137,8 @@ def gc_modulus_sq(pa: PairArithmetic, u: GComplex) -> GComplex:
     return from_base(pa, z * z.conjugate())
 
 
-def first_power(x: float, frm, to) -> float:
+def first_power(x: float, frm: ExtendedGenerator | IdentityBijection,
+                to: ExtendedGenerator | IdentityBijection) -> float:
     """Canonical transport of x between arithmetics: f_to^{-1}(f_from(x))."""
     return to.inverse(frm.forward(x))
 
@@ -162,7 +159,7 @@ class ComplexLevelFunction:
     """
 
     base: Callable[[float], complex]
-    domain: ExtendedGenerator
+    domain: ExtendedGenerator | IdentityBijection
     target: PairArithmetic
 
     def value(self, x: float) -> GComplex:

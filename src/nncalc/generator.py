@@ -196,90 +196,67 @@ def h_view(gen: Generator, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _unit_cell(fn: Callable, x: float) -> float:
+def _cell_scalar(fn: Callable, x: float) -> float:
     """floor(x) + fn(x - floor(x)) on a finite float, without numpy."""
     n = float(math.floor(x))
     return n + float(fn(x - n))
 
 
+def _cell_array(fn: Callable, x):
+    """floor(x) + fn(x - floor(x)) elementwise; a float when the result is 0-d."""
+    arr = np.asarray(x, dtype=float)
+    n = np.floor(arr)
+    out = n + np.asarray(fn(arr - n))
+    return float(out) if out.ndim == 0 else out
+
+
 class ExtendedGenerator:
     """A generator promoted to a strictly increasing bijection of the real line.
 
-    The default extension translates the unit cell,
-    ``g_R(x) = floor(x) + g(x - floor(x))``, which fixes every integer.  An
-    alternate extension rule may be supplied as a pair of callables
-    ``(forward_outside, inverse_outside)`` used for arguments outside [0,1];
-    this exists to let tests demonstrate how results on arguments leaving the
-    unit interval depend on the choice of extension.
+    The unit cell is translated, ``g_R(x) = floor(x) + g(x - floor(x))``,
+    which fixes every integer; ``iterate`` composes g_R or its inverse.
 
-    Under the default extension a finite scalar argument never becomes a
-    numpy array: ``forward``, ``inverse`` and ``iterate`` return a builtin
-    ``float`` bitwise equal to what the same value gives inside an array.
-    Arrays (0-d included), non-finite scalars and custom extensions take the
-    array path.
+    A finite scalar argument never becomes a numpy array: ``forward``,
+    ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
+    what the same value gives inside an array.  Arrays and non-finite
+    scalars take the array kernel, and a 0-d result comes back as a float.
     """
 
-    def __init__(self, base: Generator, extension: tuple[Callable, Callable] | None = None):
+    def __init__(self, base: Generator):
         self.base = base
-        self._extension = extension
 
     @property
     def name(self) -> str:
         return self.base.name
 
     def __repr__(self):  # pragma: no cover - cosmetic
-        rule = "unit-periodic" if self._extension is None else "custom"
-        return f"ExtendedGenerator({self.base.name!r}, extension={rule})"
+        return f"ExtendedGenerator({self.base.name!r})"
 
     def forward(self, x):
-        if self._extension is None and _is_finite_scalar(x):
-            return _unit_cell(self.base.forward, float(x))
-        arr = np.asarray(x, dtype=float)
-        if self._extension is None:
-            n = np.floor(arr)
-            out = n + np.asarray(self.base.forward(arr - n))
-        else:
-            inside = (arr >= 0.0) & (arr <= 1.0)
-            fwd_out, _ = self._extension
-            out = np.where(inside,
-                           np.asarray(self.base.forward(np.clip(arr, 0.0, 1.0))),
-                           np.asarray(fwd_out(arr)))
-        return float(out) if out.ndim == 0 else out
+        if _is_finite_scalar(x):
+            return _cell_scalar(self.base.forward, float(x))
+        return _cell_array(self.base.forward, x)
 
     def inverse(self, y):
-        if self._extension is None and _is_finite_scalar(y):
-            return _unit_cell(self.base.inverse, float(y))
-        arr = np.asarray(y, dtype=float)
-        if self._extension is None:
-            n = np.floor(arr)
-            out = n + np.asarray(self.base.inverse(arr - n))
-        else:
-            inside = (arr >= 0.0) & (arr <= 1.0)
-            _, inv_out = self._extension
-            out = np.where(inside,
-                           np.asarray(self.base.inverse(np.clip(arr, 0.0, 1.0))),
-                           np.asarray(inv_out(arr)))
-        return float(out) if out.ndim == 0 else out
+        if _is_finite_scalar(y):
+            return _cell_scalar(self.base.inverse, float(y))
+        return _cell_array(self.base.inverse, y)
 
     def iterate(self, x, k: int, cap: int = LEVEL_CAP):
         """k-fold self-composition g_R^k (inverse composition for k < 0)."""
         if abs(k) > cap:
             raise LevelRangeError(f"|k| = {abs(k)} exceeds the iteration cap {cap}")
-        if self._extension is None and _is_finite_scalar(x):
-            out = float(x) + 0.0  # -0.0 -> 0.0, as the array path does at k = 0
-            fn = self.base.forward if k > 0 else self.base.inverse
-            for _ in range(abs(k)):
-                out = _unit_cell(fn, out)
-            return out
-        arr = np.asarray(x, dtype=float)
-        if k == 0:
-            out = arr + 0.0
+        if _is_finite_scalar(x):
+            cell, out = _cell_scalar, float(x) + 0.0  # -0.0 -> 0.0, as arrays do at k = 0
+        elif k == 0:
+            out = np.asarray(x, dtype=float) + 0.0  # a copy, never the caller's array
+            return float(out) if out.ndim == 0 else out
         else:
-            step = self.forward if k > 0 else self.inverse
-            out = arr
-            for _ in range(abs(k)):
-                out = np.asarray(step(out))
-        return float(out) if np.ndim(out) == 0 else out
+            cell, out = _cell_array, x
+        fn = self.base.forward if k > 0 else self.base.inverse
+        for _ in range(abs(k)):
+            out = cell(fn, out)
+        return out
 
 
 _clamp_count = 0

@@ -1,0 +1,58 @@
+"""Rewrite the golden CLI outputs and report how each changed file moved.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tests/golden/make_goldens.py
+
+Every command of ``tests/test_golden.py`` is run again and its golden file
+rewritten.  For each file whose bytes changed, the largest difference in
+units in the last place between corresponding numbers is printed; a changed
+count of numbers is reported as a changed layout.
+"""
+
+import re
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from test_golden import COMMANDS, GOLDEN_DIR, render  # noqa: E402
+
+_NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _ordered(x: float) -> int:
+    """Map a double to an integer so that adjacent doubles differ by 1 (and -0.0 == 0.0)."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def max_ulp_difference(old: bytes, new: bytes) -> int | None:
+    """Largest ulp distance between corresponding numbers, or None if their count differs."""
+    a, b = _NUMBER.findall(old), _NUMBER.findall(new)
+    if len(a) != len(b):
+        return None
+    return max((abs(_ordered(float(x)) - _ordered(float(y))) for x, y in zip(a, b)), default=0)
+
+
+def main() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(COMMANDS):
+            path = GOLDEN_DIR / name
+            old = path.read_bytes() if path.exists() else None
+            new = render(name, Path(tmp))
+            if old == new:
+                continue
+            path.write_bytes(new)
+            if old is None:
+                print(f"{name}: new")
+                continue
+            ulps = max_ulp_difference(old, new)
+            print(f"{name}: " + ("layout changed" if ulps is None else f"max {ulps} ulp"))
+
+
+if __name__ == "__main__":
+    main()

@@ -12,7 +12,6 @@ from nncalc.arithmetic import (
     power,
 )
 from nncalc.errors import DomainError, PullbackDivisionError
-from nncalc.generator import ExtendedGenerator, make_sine_generator
 
 from conftest import resolvable
 
@@ -83,14 +82,6 @@ def test_embed_natural_matches_repeated_addition(sine_eg):
         for _ in range(5):
             acc = arith(ctx, "add", acc, 1.0)
         assert embed_natural(ctx, 6) == pytest.approx(acc, abs=1e-9)
-
-
-def test_embed_natural_alternate_extension():
-    # with a cubic extension outside [0,1] the same embedding lands elsewhere:
-    # the level-k naturals depend on the chosen real-line representative
-    cubic = ExtendedGenerator(make_sine_generator(),
-                              extension=(lambda x: x ** 3, np.cbrt))
-    assert embed_natural(ArithmeticContext(cubic, 1), 2) == 8.0
 
 
 def test_embed_rational(sine_eg):
@@ -265,3 +256,17 @@ def test_level_sum_and_prod(sine_eg, rng):
         for v in vals[1:]:
             acc = arith(ctx, "mul", acc, v)
         assert level_prod(ctx, vals) == pytest.approx(acc, abs=1e-10)
+
+
+@pytest.mark.parametrize("level", [1, -1])
+def test_non_finite_base_result_raises(sine_eg, level):
+    # integers are fixed at every level, so the pullbacks are the operands
+    # themselves and the base-level product overflows
+    ctx = ctx_at(sine_eg, level)
+    calls = [lambda: arith(ctx, "mul", 1e200, 1e200),
+             lambda: power(ctx, 1e200, 2),
+             lambda: level_sum(ctx, [1e308, 1e308]),
+             lambda: level_prod(ctx, [1e200, 1e200])]
+    for call in calls:
+        with pytest.raises(DomainError, match="not finite"):
+            call()

@@ -20,7 +20,8 @@ from nncalc.bell import (
     singlet_from_hidden,
 )
 from nncalc.calculus import LevelFunction, nn_integral
-from nncalc.errors import DomainError
+from nncalc.errors import DomainError, LevelRangeError
+from nncalc.generator import LEVEL_CAP
 from nncalc.probability import singlet_table
 
 TWO_PI = 2.0 * math.pi
@@ -112,6 +113,26 @@ def test_singlet_from_hidden_matches_table(rng, sine_eg):
         diag = singlet_from_hidden(base, base + theta + math.pi)
         assert off_diag == pytest.approx(float(table[0][1]), abs=1e-10)
         assert diag == pytest.approx(float(table[0][0]), abs=1e-10)
+
+
+def test_gmap_iterate_is_k_fold_composition(sine_eg, rng):
+    gmap = GMap(sine_eg)
+    xs = np.concatenate([rng.uniform(0.0, 0.5, 200), rng.uniform(-2.0, 2.0, 200)])
+    for k in (1, -1, 2, -2, 5, -5):
+        step = gmap.forward if k > 0 else gmap.inverse
+        for x in [xs] + [float(v) for v in xs]:
+            want = x
+            for _ in range(abs(k)):
+                want = step(want)
+            got = gmap.iterate(x, k)
+            assert type(got) is type(want)
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64)), (x, k)
+    with pytest.raises(LevelRangeError):
+        gmap.iterate(0.25, LEVEL_CAP + 1)
+    # k = 0 gives a float and drops the sign of a zero, as ExtendedGenerator does
+    got = gmap.iterate(-0.0, 0)
+    assert type(got) is float and math.copysign(1.0, got) == 1.0
 
 
 def test_singlet_from_hidden_quadrature_route(sine_eg, rng):

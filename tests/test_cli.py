@@ -168,6 +168,8 @@ def test_validation_exit_codes(tmp_path, capsys):
     # closed-form commands only make sense for the sine bijection
     assert run(["singlet", "--theta", "1.0", "--generator", "identity"]) == 2
     assert run(["alpha-theta", "--grid", "5", "--generator", "identity"]) == 2
+    # a base-level product that overflows
+    assert run(["arith", "--level", "1", "--op", "mul", "1e200", "1e200"]) == 2
     capsys.readouterr()
 
 

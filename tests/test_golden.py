@@ -1,0 +1,63 @@
+"""CLI output bytes pinned against the files in tests/golden/.
+
+Each command runs in-process through ``cli.run()``; any byte difference from
+its golden file fails.  The test never writes a golden.  After a deliberate
+output change, rewrite them with ``PYTHONPATH=src python
+tests/golden/make_goldens.py``, which prints each changed file's max ulp
+difference for CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from nncalc.cli import run
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: Input files the commands read, written as ``<key>.json``; an argument
+#: ``{key}`` is replaced by the file's path.
+INPUTS = {
+    "state_a": {"components": [[1.0, 0.0], [0.0, 0.0]]},
+    "state_b": {"components": [[0.6, 0.0], [0.8, 0.0]]},
+    "convex": {"name": "convex", "components": ["sine", "identity"], "weights": [0.3, 0.7]},
+}
+
+#: Golden file name -> CLI arguments.  The first nine are the commands of
+#: acceptance criterion 12.
+COMMANDS = {
+    "iterate.csv": ["iterate", "--levels", "1,2,5,15", "--grid", "201"],
+    "alpha_theta.csv": ["alpha-theta", "--grid", "201"],
+    "bell_scan.json": ["bell-scan", "--resolution", "1deg"],
+    "lln.csv": ["lln", "--levels", "1,2,3,4", "--eps", "0.1", "--n-min", "25", "--n-max", "75"],
+    "lln_sim.json": ["lln-sim", "--N", "2000", "--p", "0.5", "--eps", "0.05", "--trials", "200",
+                     "--seed", "123"],
+    "singlet.csv": ["singlet", "--theta", "1.0471975511965976"],
+    "entropy.json": ["entropy", "--probs", "0.1,0.2,0.3,0.4", "--alpha", "2"],
+    "arith.txt": ["arith", "--level", "1", "--op", "mul", "0.5", "0.5"],
+    "fubini.json": ["fubini", "--state-a", "{state_a}", "--state-b", "{state_b}"],
+    "iterate_inverse.csv": ["iterate", "--levels=-1,-2,-5,-15", "--grid", "201"],
+    # array kernel with the bisection inverse
+    "iterate_convex.csv": ["iterate", "--levels", "1,-1,3", "--grid", "201",
+                           "--generator", "{convex}"],
+}
+
+
+def render(name: str, directory: Path) -> bytes:
+    """Run the command of golden ``name`` with its inputs in ``directory``; return its output."""
+    paths = {}
+    for key, obj in INPUTS.items():
+        paths[key] = directory / f"{key}.json"
+        paths[key].write_text(json.dumps(obj))
+    args = [arg.format_map(paths) for arg in COMMANDS[name]]
+    out = directory / name
+    code = run(args + ["--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{args} exited {code}")
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden(name, tmp_path):
+    assert render(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
