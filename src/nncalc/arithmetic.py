@@ -55,8 +55,19 @@ def _push_finite(ctx: ArithmeticContext, what: str, base: float) -> float:
 def _inf_on_overflow(op: Callable, *args) -> float:
     try:
         return op(*args)
-    except OverflowError:  # float ** int and fsum raise where * and + give inf
+    except OverflowError:  # float ** int and int / int raise where * and / give inf
         return math.inf
+
+
+def _exact_sum(values: list) -> float:
+    """The correctly rounded sum of floats, as fsum gives, without its overflow
+    on a partial sum; inf when the sum itself overflows."""
+    if not all(map(math.isfinite, values)):
+        return sum(values)  # not finite either way
+    ratios = [v.as_integer_ratio() for v in values]  # power-of-2 denominators
+    den = max(d for _, d in ratios)
+    # int / int rounds correctly, as fsum does
+    return _inf_on_overflow(operator.truediv, sum(n * (den // d) for n, d in ratios), den)
 
 
 def arith(ctx: ArithmeticContext, kind: str, x: float, y: float) -> float:
@@ -112,7 +123,12 @@ def level_sum(ctx: ArithmeticContext, values: Iterable[float]) -> float:
     Associativity lets the fold be evaluated with a single push of the
     compensated base-level sum; pairwise folding agrees within roundoff.
     """
-    return _push_finite(ctx, "level_sum", _inf_on_overflow(math.fsum, map(ctx.pull, values)))
+    pulled = list(map(ctx.pull, values))
+    try:
+        base = math.fsum(pulled)
+    except OverflowError:  # a partial sum overflowed; the exact sum may still be finite
+        base = _exact_sum(pulled)
+    return _push_finite(ctx, "level_sum", base)
 
 
 def level_prod(ctx: ArithmeticContext, values: Iterable[float]) -> float:

@@ -28,6 +28,9 @@ LEVEL_CAP = 64
 _TWO_OVER_PI = 2.0 / math.pi
 _HALF_PI = 0.5 * math.pi
 _SCALAR_TYPES = (float, int, np.floating)
+#: elements per block of the array path: 128 KiB of float64, so a block and
+#: the few temporaries of one step stay in the per-core cache
+_BLOCK = 1 << 14
 
 
 def _is_finite_scalar(x) -> bool:
@@ -39,7 +42,11 @@ def _is_finite_scalar(x) -> bool:
 class Generator:
     """A strictly increasing bijection of [0,1] with the complement symmetry.
 
-    ``forward`` and ``inverse`` must accept floats or numpy arrays.  The sine
+    ``forward`` and ``inverse`` must accept floats or numpy arrays and be
+    elementwise: each output element depends on its own input element alone,
+    so :class:`ExtendedGenerator` may evaluate an array block by block.  (The
+    bisection inverse of :func:`convex_combine` qualifies: every bracket
+    halves in lock-step, so each block stops on the same round.)  The sine
     generator maps a finite scalar to a builtin ``float`` that is bitwise
     equal to the corresponding element of the array result.  Values are
     immutable after construction and safe to share across threads.
@@ -54,6 +61,23 @@ class Generator:
         return f"Generator({self.name!r})"
 
 
+def _unfold(p, r):
+    """Mirror r = f(min(p, 1 - p)) back to f(p): r below 1/2, 1 - r above, 1/2 pinned.
+
+    One scratch array holds 1 - 2c and then c, which keeps the heap a block
+    smaller than two would.
+    """
+    t = np.greater(p, 0.5, out=np.empty(p.shape))  # c: 1.0 above 1/2, else 0.0
+    t *= -2.0
+    t += 1.0  # 1 - 2c: -1.0 above 1/2, else 1.0
+    r *= t
+    t *= -0.5
+    t += 0.5  # c again, exactly
+    r += t
+    r[p == 0.5] = 0.5
+    return r
+
+
 def make_sine_generator() -> Generator:
     """The trigonometric generator g(p) = sin^2(pi p / 2).
 
@@ -63,9 +87,19 @@ def make_sine_generator() -> Generator:
     relative accuracy near both endpoints, where naive shifted-sine forms
     cancel catastrophically.  The inverse (2/pi) arcsin(sqrt(P)) is closed
     form, mirrored the same way.  Finite scalars take the same branches
-    without building an array.  ``math.sin`` and ``math.sqrt`` agree with
-    numpy bitwise (the equivalence tests check this); ``math.asin`` does
-    not, so arcsin stays on numpy's ufunc.
+    without building an array.
+
+    Arrays fold, evaluate once and unfold: r = sin^2(pi t/2) on
+    t = min(p, 1 - p), then r (1 - 2c) + c with c = 1 above 1/2 and 0
+    elsewhere, and 1/2 pinned.  t is exactly the argument of the branch that
+    p selects, and r * 1 + 0 = r (r is never -0.0) and r * -1 + 1 = 1 - r
+    hold exactly, so the result is bitwise the two-branch form.  That costs
+    one sine per element and no data-dependent select (``np.where`` on a
+    mixed mask costs about half a sine).
+
+    ``math.sin`` and ``math.sqrt`` agree with numpy bitwise (the
+    equivalence tests check this); ``math.asin`` does not, so arcsin stays
+    on numpy's ufunc.
     """
 
     def forward(p):
@@ -79,9 +113,12 @@ def make_sine_generator() -> Generator:
             s = math.sin(_HALF_PI * (1.0 - p))
             return 1.0 - s * s
         p = np.asarray(p, dtype=float)
-        lo = np.sin(0.5 * np.pi * np.minimum(p, 0.5)) ** 2
-        hi = 1.0 - np.sin(0.5 * np.pi * (1.0 - np.maximum(p, 0.5))) ** 2
-        return np.where(p == 0.5, 0.5, np.where(p < 0.5, lo, hi))
+        r = np.subtract(1.0, p, out=np.empty(p.shape))  # an array even when p is 0-d
+        np.minimum(p, r, out=r)
+        r *= _HALF_PI
+        np.sin(r, out=r)
+        r *= r
+        return _unfold(p, r)
 
     def inverse(P):
         if _is_finite_scalar(P):
@@ -94,9 +131,13 @@ def make_sine_generator() -> Generator:
             Q = 1.0 - P
             return 1.0 - _TWO_OVER_PI * float(np.arcsin(math.sqrt(Q if Q > 0.0 else 0.0)))
         P = np.asarray(P, dtype=float)
-        lo = _TWO_OVER_PI * np.arcsin(np.sqrt(np.minimum(np.maximum(P, 0.0), 0.5)))
-        hi = 1.0 - _TWO_OVER_PI * np.arcsin(np.sqrt(np.maximum(1.0 - np.maximum(P, 0.5), 0.0)))
-        return np.where(P == 0.5, 0.5, np.where(P < 0.5, lo, hi))
+        r = np.subtract(1.0, P, out=np.empty(P.shape))
+        np.minimum(P, r, out=r)
+        np.maximum(r, 0.0, out=r)
+        np.sqrt(r, out=r)
+        np.arcsin(r, out=r)
+        r *= _TWO_OVER_PI
+        return _unfold(P, r)
 
     return Generator("sine", forward, inverse)
 
@@ -203,11 +244,10 @@ def _cell_scalar(fn: Callable, x: float) -> float:
 
 
 def _cell_array(fn: Callable, x):
-    """floor(x) + fn(x - floor(x)) elementwise; a float when the result is 0-d."""
-    arr = np.asarray(x, dtype=float)
-    n = np.floor(arr)
-    out = n + np.asarray(fn(arr - n))
-    return float(out) if out.ndim == 0 else out
+    """floor(x) + fn(x - floor(x)) elementwise on a 1-d block, as a new array."""
+    n = np.floor(x)
+    n += fn(x - n)
+    return n
 
 
 class ExtendedGenerator:
@@ -219,7 +259,12 @@ class ExtendedGenerator:
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
     what the same value gives inside an array.  Arrays and non-finite
-    scalars take the array kernel, and a 0-d result comes back as a float.
+    scalars take the array path, ``iterate(x, k)`` with k = +1 or -1 for
+    ``forward`` and ``inverse``.  It walks the flattened input in blocks of
+    ``_BLOCK`` elements and runs all |k| steps on one block, while it is in
+    cache, before it moves to the next.  The result is a new float array in
+    the input's shape (a float when it is 0-d), bitwise equal to the scalar
+    path elementwise; the input is never written.
     """
 
     def __init__(self, base: Generator):
@@ -235,28 +280,35 @@ class ExtendedGenerator:
     def forward(self, x):
         if _is_finite_scalar(x):
             return _cell_scalar(self.base.forward, float(x))
-        return _cell_array(self.base.forward, x)
+        return self.iterate(x, 1)
 
     def inverse(self, y):
         if _is_finite_scalar(y):
             return _cell_scalar(self.base.inverse, float(y))
-        return _cell_array(self.base.inverse, y)
+        return self.iterate(y, -1)
 
     def iterate(self, x, k: int, cap: int = LEVEL_CAP):
         """k-fold self-composition g_R^k (inverse composition for k < 0)."""
         if abs(k) > cap:
             raise LevelRangeError(f"|k| = {abs(k)} exceeds the iteration cap {cap}")
-        if _is_finite_scalar(x):
-            cell, out = _cell_scalar, float(x) + 0.0  # -0.0 -> 0.0, as arrays do at k = 0
-        elif k == 0:
-            out = np.asarray(x, dtype=float) + 0.0  # a copy, never the caller's array
-            return float(out) if out.ndim == 0 else out
-        else:
-            cell, out = _cell_array, x
         fn = self.base.forward if k > 0 else self.base.inverse
-        for _ in range(abs(k)):
-            out = cell(fn, out)
-        return out
+        if _is_finite_scalar(x):
+            out = float(x) + 0.0  # -0.0 -> 0.0, as arrays do at k = 0
+            for _ in range(abs(k)):
+                out = _cell_scalar(fn, out)
+            return out
+        arr = np.asarray(x, dtype=float)
+        if k == 0:
+            out = arr + 0.0  # a copy, never the caller's array
+        else:
+            out = np.empty(arr.shape)
+            src, dst = arr.reshape(-1), out.reshape(-1)  # dst is a view of out
+            for start in range(0, src.size, _BLOCK):
+                block = src[start:start + _BLOCK]
+                for _ in range(abs(k)):
+                    block = _cell_array(fn, block)
+                dst[start:start + _BLOCK] = block
+        return float(out) if out.ndim == 0 else out
 
 
 _clamp_count = 0
@@ -292,13 +344,15 @@ def eval_iterate(egen: ExtendedGenerator, k: int, x, cap: int = LEVEL_CAP):
             out = 0.0 if out < 0.0 else 1.0
         return out
     arr = np.asarray(x, dtype=float)
-    if np.all((arr >= 0.0) & (arr <= 1.0)):
+    # two reductions and no full-size boolean temporaries; a NaN fails both tests
+    if arr.size and arr.min() >= 0.0 and arr.max() <= 1.0:
         res = np.asarray(out)
-        outside = int(np.count_nonzero((res < 0.0) | (res > 1.0)))
-        if outside:
-            _clamp_count += outside
-            res = np.clip(res, 0.0, 1.0)
-            out = float(res) if res.ndim == 0 else res
+        if not (res.min() >= 0.0 and res.max() <= 1.0):
+            outside = int(np.count_nonzero((res < 0.0) | (res > 1.0)))
+            if outside:
+                _clamp_count += outside
+                res = np.clip(res, 0.0, 1.0)
+                out = float(res) if res.ndim == 0 else res
     return out
 
 

@@ -270,3 +270,14 @@ def test_non_finite_base_result_raises(sine_eg, level):
     for call in calls:
         with pytest.raises(DomainError, match="not finite"):
             call()
+
+
+@pytest.mark.parametrize("level", [0, 1, -1])
+def test_level_sum_finite_despite_partial_overflow(sine_eg, level):
+    # fsum overflows on the partial sum 2e308, but the exact sum is 1e308;
+    # integers are fixed at every level, so the pullbacks are the operands
+    ctx = ctx_at(sine_eg, level)
+    assert level_sum(ctx, [1e308, 1e308, -1e308]) == 1e308
+    assert level_sum(ctx, [1e308, -1e308, 1e308, 5e307]) == 1.5e308
+    with pytest.raises(DomainError, match="not finite"):
+        level_sum(ctx, [1e308, 1e308, 1e307])

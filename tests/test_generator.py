@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from nncalc.errors import ConfigError, DomainError, LevelRangeError
 from nncalc.generator import (
+    _BLOCK,
     ExtendedGenerator,
     Generator,
     clamp_count,
@@ -384,3 +386,100 @@ def test_clamp_count_same_on_scalar_and_array_paths():
     assert deltas == [1, 1]
     assert type(outs[0]) is float
     assert _bits(outs[0]) == _bits(outs[1]) == _bits(1.0)
+
+
+# ------------------------------------------------- blocked array path
+
+B = _BLOCK
+BLOCK_SIZES = (0, 1, B - 1, B, B + 1, 2 * B + 3)
+BLOCK_LEVELS = (0, 1, -1, 2, -2, 15, -15)
+# at k = -15 the convex case would run 15 bisections per block; the
+# lock-step stop that blocking relies on shows at k = -1 and -2 already
+BLOCK_CASES = [
+    ("sine", ExtendedGenerator(make_sine_generator()), BLOCK_LEVELS),
+    ("identity", ExtendedGenerator(make_identity_generator()), BLOCK_LEVELS),
+    ("convex", EQUIVALENCE_CASES[2][0], BLOCK_LEVELS[:-1]),
+]
+
+
+def _block_sample() -> np.ndarray:
+    """2B + 3 points of [-3, 3] and [0, 1), with edge and non-finite values
+    at the start, on both sides of each block boundary and at the end."""
+    rng = np.random.default_rng(20251018)
+    xs = np.concatenate([rng.uniform(-3.0, 3.0, B + 2), rng.random(B + 1)])
+    special = np.array([float(v) for v in EDGE_VALUES] + NON_FINITE)
+    for at in (0, B - 10, xs.size - special.size):  # the last one straddles 2B
+        xs[at:at + special.size] = special
+    return xs
+
+
+def _checked_indices(name: str, size: int) -> np.ndarray:
+    """Indices compared with the scalar path: the neighbours of every block
+    edge plus a seeded spread, fewer for the bisection of the convex case."""
+    width, spread = (8, 60) if name == "convex" else (40, 1500)
+    edges = [i + d for i in (0, B, 2 * B, size) for d in range(-width, width)]
+    extra = np.random.default_rng(7).choice(size, spread, replace=False)
+    idx = np.unique(np.concatenate([edges, extra]))
+    return idx[(idx >= 0) & (idx < size)]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name,egen,levels", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+def test_blocked_kernel_bitwise_equals_scalar_path(name, egen, levels):
+    xs = _block_sample()
+    idx = _checked_indices(name, xs.size)
+    kept = xs.tobytes()
+    with np.errstate(invalid="ignore"):
+        for k in levels:
+            ref = np.array([egen.iterate(float(xs[i]), k) for i in idx])
+            for size in BLOCK_SIZES:
+                out = egen.iterate(xs[:size], k)
+                assert isinstance(out, np.ndarray) and out.shape == (size,)
+                inside = idx < size
+                assert _same_bits(out[idx[inside]], ref[inside]), (name, k, size)
+                if k in (1, -1):
+                    mapped = (egen.forward if k == 1 else egen.inverse)(xs[:size])
+                    assert _same_bits(mapped, out), (name, k, size)
+    assert xs.tobytes() == kept
+
+
+@pytest.mark.parametrize("name,egen,levels", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+def test_blocked_kernel_layouts_and_dtypes(name, egen, levels):
+    # a contiguous float64 array is checked against the scalar path above;
+    # every other layout and dtype must give the same bits in its own shape
+    xs = _block_sample()[: B + 5]  # 3 * 5463 elements, across one block edge
+    with np.errstate(over="ignore"):  # 1e300 becomes inf in float32
+        narrow = xs.astype(np.float32)
+    views = [xs.reshape(3, -1), xs.reshape(3, -1).T, xs[::3], xs[::-1],
+             xs[:2400].reshape(40, 60)[:, ::2], narrow,
+             np.arange(-5, 6), np.array([2**53, -(2**40), 7], dtype=np.int64)]
+    kept = [v.tobytes() for v in views]
+    with np.errstate(invalid="ignore"):
+        for k in levels:
+            for v in views:
+                out = egen.iterate(v, k)
+                ref = egen.iterate(np.array(v, dtype=float).ravel(), k).reshape(v.shape)
+                assert out.dtype == np.float64 and _same_bits(out, ref), (name, k, v.shape)
+            for i in (0, 1, 3, 20, 22, B + 1):  # 0-d arrays, non-finite ones included
+                out = egen.iterate(np.array(xs[i]), k)
+                assert type(out) is float
+                assert _same_bits(out, egen.iterate(xs[i:i + 1], k)[0]), (name, k, xs[i])
+    assert [v.tobytes() for v in views] == kept
+
+
+def test_iterate_working_set_is_bounded():
+    # blocks keep the temporaries of all 15 steps to a few block sizes; the
+    # whole-array form peaked near 7x the output
+    x = np.random.default_rng(3).random(200_000)
+    egen = ExtendedGenerator(make_sine_generator())
+    tracemalloc.start()
+    try:
+        egen.iterate(x, 15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + 2 * 2**20, peak
