@@ -128,6 +128,8 @@ def level_sum(ctx: ArithmeticContext, values: Iterable[float]) -> float:
         base = math.fsum(pulled)
     except OverflowError:  # a partial sum overflowed; the exact sum may still be finite
         base = _exact_sum(pulled)
+    except ValueError:  # inf and -inf among the pulled values; _push_finite rejects the NaN
+        base = math.nan
     return _push_finite(ctx, "level_sum", base)
 
 

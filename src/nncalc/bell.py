@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arithmetic import ArithmeticContext, arith
 from .errors import DomainError
@@ -214,18 +215,62 @@ class ChScanReport:
         }
 
 
+#: float64 elements per chunk of ``ch_scan`` rows: 512 KiB, so the buffer and the
+#: rows it reads stay in a 2 MiB per-core L2
+_CHUNK_ELEMS = 1 << 16
+
+
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """Read-only view ``C[i, j] = c[(i - j) mod n]`` over one length-(2n - 1) copy."""
+    n = c.size
+    return sliding_window_view(c[(n - 1 - np.arange(2 * n - 1)) % n], n)[::-1]
+
+
+def _scan_max(cache: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """max over a', b, b' of (C[0] + C[a'])[b] + (C[a'] - C[0])[b'], C = _circulant(cache).
+
+    Returns the maximum and the first (a', b, b') attaining it.  The a' rows
+    are walked in chunks of ``_CHUNK_ELEMS`` elements through one buffer.
+    """
+    C = _circulant(cache)
+    base = C[0].copy()                          # the (a = 0, b) entries over b
+    n = base.size
+    rows = min(n, max(1, _CHUNK_ELEMS // n))
+    buf = np.empty((rows, n))
+    vals = np.empty(n)
+    iu = np.empty(n, dtype=np.intp)
+    iw = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        out, r = buf[:hi - lo], np.arange(hi - lo)
+        np.add(base, C[lo:hi], out=out)         # b-dependent part
+        iu[lo:hi] = out.argmax(axis=1)
+        u = out[r, iu[lo:hi]]
+        np.subtract(C[lo:hi], base, out=out)    # b'-dependent part (t2 uses the same offsets as t1)
+        iw[lo:hi] = out.argmax(axis=1)
+        np.add(u, out[r, iw[lo:hi]], out=vals[lo:hi])
+    ia = int(np.argmax(vals))
+    return float(vals[ia]), (ia, int(iu[ia]), int(iw[ia]))
+
+
 def ch_scan(resolution: float, egen: ExtendedGenerator | None = None) -> ChScanReport:
     """Grid scan of both Clauser-Horne values over detector quads.
 
     Both combinations are invariant under a common rotation of all four
     angles, so ``a`` is pinned to 0 and the remaining three angles sweep a
-    uniform grid of step ``resolution``.  The level-0 and level-1 extrema
-    separate over b and b' for each a', which keeps the scan quadratic in
-    the grid size.  ``tsirelson_check`` records that the level-0 maximum
+    uniform grid of n = round(2 pi / resolution) points (at least 4).  The
+    level-0 and level-1 extrema separate over b and b' for each a', which
+    keeps the scan quadratic in n.  The conditional of a' and b depends
+    only on (a' - b) mod n, so each level's a'-by-b table is a read-only
+    circulant view of its n cached conditionals, and no n x n array is
+    built: the rows are evaluated in chunks of about 2**16 elements (one
+    row when n is larger) through one buffer, 0.5 MiB up to n = 2**16.  Ties go
+    to the first maximum: the smallest a', then the smallest b, then the
+    smallest b'.  ``tsirelson_check`` records that the level-0 maximum
     stayed below 1 + sqrt(2) and the level-1 maximum below 2 (small slack).
     """
-    if resolution <= 0.0:
-        raise DomainError("resolution must be positive")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise DomainError(f"resolution must be positive and finite, got {resolution!r}")
     egen = _default_extended(egen)
     n = max(4, int(round(TWO_PI / resolution)))
     step = TWO_PI / n
@@ -234,31 +279,8 @@ def ch_scan(resolution: float, egen: ExtendedGenerator | None = None) -> ChScanR
     tcache = np.cos(0.5 * red) ** 2             # level-1 conditionals
     pcache = 1.0 - red / np.pi                  # their base-level pullbacks
 
-    idx = np.arange(n)
-    t_b = tcache[(-idx) % n]                    # t(a=0, b)
-    p_b = pcache[(-idx) % n]
-
-    best0 = -np.inf
-    arg0 = (0, 0, 0)
-    best_s = -np.inf
-    arg1 = (0, 0, 0)
-    for ia in range(n):
-        shifted = (ia - idx) % n
-        t_ab = tcache[shifted]                  # t(a', b) over b
-        p_ab = pcache[shifted]
-        u0 = t_b + t_ab                         # b-dependent part
-        w0 = -t_b + t_ab                        # b'-dependent part (t2 uses the same offsets as t1)
-        iu, iw = int(np.argmax(u0)), int(np.argmax(w0))
-        v0 = u0[iu] + w0[iw]
-        if v0 > best0:
-            best0, arg0 = float(v0), (ia, iu, iw)
-        us = p_b + p_ab
-        ws = -p_b + p_ab
-        ju, jw = int(np.argmax(us)), int(np.argmax(ws))
-        s = us[ju] + ws[jw]
-        if s > best_s:
-            best_s, arg1 = float(s), (ia, ju, jw)
-
+    best0, arg0 = _scan_max(tcache)
+    best_s, arg1 = _scan_max(pcache)
     max1 = egen.forward(best_s)
     quad0 = AngleQuad(0.0, arg0[0] * step, arg0[1] * step, arg0[2] * step)
     quad1 = AngleQuad(0.0, arg1[0] * step, arg1[1] * step, arg1[2] * step)

@@ -161,7 +161,7 @@ def _bisect_increasing(fn: Callable, y, tol: float = 1e-14, max_iter: int = 200)
         below = np.asarray(fn(mid)) <= y
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= tol:
+        if np.all(hi - lo <= tol):  # also true on an empty array
             break
     x = 0.5 * (lo + hi)
     # the endpoints are known exactly for any bijection of this class

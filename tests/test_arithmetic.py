@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,13 @@ def test_non_finite_base_result_raises(sine_eg, level):
     for call in calls:
         with pytest.raises(DomainError, match="not finite"):
             call()
+
+
+@pytest.mark.parametrize("level", [0, 1, -1])
+def test_level_sum_of_opposite_infinities_raises(sine_eg, level):
+    # fsum raises ValueError on inf + -inf; the base-level sum is NaN
+    with pytest.raises(DomainError, match="not finite"):
+        level_sum(ctx_at(sine_eg, level), [math.inf, -math.inf])
 
 
 @pytest.mark.parametrize("level", [0, 1, -1])

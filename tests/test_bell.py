@@ -1,8 +1,13 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nncalc import bell
 from nncalc.bell import (
     AngleQuad,
     ChScanReport,
@@ -21,7 +26,7 @@ from nncalc.bell import (
 )
 from nncalc.calculus import LevelFunction, nn_integral
 from nncalc.errors import DomainError, LevelRangeError
-from nncalc.generator import LEVEL_CAP
+from nncalc.generator import LEVEL_CAP, _default_extended
 from nncalc.probability import singlet_table
 
 TWO_PI = 2.0 * math.pi
@@ -233,8 +238,93 @@ def test_ch_scan_off_grid_resolution():
 
 
 def test_ch_scan_validation():
-    with pytest.raises(DomainError):
-        ch_scan(0.0)
+    for resolution in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            ch_scan(resolution)
+
+
+def _ch_scan_loop(resolution, egen=None):
+    """The scan as one numpy pass per a', the reference for ``ch_scan``."""
+    egen = _default_extended(egen)
+    n = max(4, int(round(TWO_PI / resolution)))
+    step = TWO_PI / n
+    grid = np.arange(n) * step
+    red = np.pi - np.abs(np.pi - grid)          # reduced angle of each grid offset
+    tcache = np.cos(0.5 * red) ** 2             # level-1 conditionals
+    pcache = 1.0 - red / np.pi                  # their base-level pullbacks
+
+    idx = np.arange(n)
+    t_b = tcache[(-idx) % n]                    # t(a=0, b)
+    p_b = pcache[(-idx) % n]
+
+    best0 = -np.inf
+    arg0 = (0, 0, 0)
+    best_s = -np.inf
+    arg1 = (0, 0, 0)
+    for ia in range(n):
+        shifted = (ia - idx) % n
+        t_ab = tcache[shifted]                  # t(a', b) over b
+        p_ab = pcache[shifted]
+        u0 = t_b + t_ab                         # b-dependent part
+        w0 = -t_b + t_ab                        # b'-dependent part (t2 uses the same offsets as t1)
+        iu, iw = int(np.argmax(u0)), int(np.argmax(w0))
+        v0 = u0[iu] + w0[iw]
+        if v0 > best0:
+            best0, arg0 = float(v0), (ia, iu, iw)
+        us = p_b + p_ab
+        ws = -p_b + p_ab
+        ju, jw = int(np.argmax(us)), int(np.argmax(ws))
+        s = us[ju] + ws[jw]
+        if s > best_s:
+            best_s, arg1 = float(s), (ia, ju, jw)
+
+    max1 = egen.forward(best_s)
+    quad0 = AngleQuad(0.0, arg0[0] * step, arg0[1] * step, arg0[2] * step)
+    quad1 = AngleQuad(0.0, arg1[0] * step, arg1[1] * step, arg1[2] * step)
+    ok = (best0 <= TSIRELSON + 1e-9) and (max1 <= 2.0 + 1e-9)
+    return ChScanReport(max0=best0, argmax0=quad0, max1=float(max1), argmax1=quad1,
+                        tsirelson_check=ok)
+
+
+def _assert_same_report(got, want):
+    assert got == want
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    fields = [got.max0, got.max1, *got.argmax0, *got.argmax1]
+    assert all(type(v) is float for v in fields)
+
+
+@pytest.mark.parametrize("resolution", [math.radians(d) for d in (0.1, 0.37, 1.0, 5.0, 7.0, 15.0)]
+                         + [TWO_PI / 4])
+def test_ch_scan_equals_loop(resolution, identity_eg):
+    for egen in (None, identity_eg):
+        _assert_same_report(ch_scan(resolution, egen), _ch_scan_loop(resolution, egen))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 720), identity=st.booleans())
+def test_ch_scan_equals_loop_on_any_grid(identity_eg, n, identity):
+    # n > 256 takes several chunks, most of them with a short last one
+    egen = identity_eg if identity else None
+    _assert_same_report(ch_scan(TWO_PI / n, egen), _ch_scan_loop(TWO_PI / n, egen))
+
+
+@pytest.mark.parametrize("chunk_elems", [1, 72 * 5 + 3, 72 * 72])
+def test_ch_scan_equals_loop_at_any_chunk_size(monkeypatch, chunk_elems):
+    # 5-degree grid, n = 72: one row per chunk, 5 rows with a short last
+    # chunk, and the whole table in one chunk
+    monkeypatch.setattr(bell, "_CHUNK_ELEMS", chunk_elems)
+    _assert_same_report(ch_scan(math.radians(5.0)), _ch_scan_loop(math.radians(5.0)))
+
+
+def test_ch_scan_working_set_is_bounded():
+    # a 3600 x 3600 float64 table would take 104 MB
+    tracemalloc.start()
+    try:
+        ch_scan(math.radians(0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
 
 
 def test_refine_ch0_max():

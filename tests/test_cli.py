@@ -165,6 +165,8 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run(["entropy", "--probs", "0.5,0.6", "--alpha", "2"]) == 2
     # bad resolution
     assert run(["bell-scan", "--resolution", "0"]) == 2
+    assert run(["bell-scan", "--resolution", "nan"]) == 2
+    assert run(["bell-scan", "--resolution", "inf"]) == 2
     # closed-form commands only make sense for the sine bijection
     assert run(["singlet", "--theta", "1.0", "--generator", "identity"]) == 2
     assert run(["alpha-theta", "--grid", "5", "--generator", "identity"]) == 2

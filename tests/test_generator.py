@@ -189,6 +189,14 @@ def test_convex_inverse_bisection(sine_gen):
     assert combo.inverse(1.0) == 1.0
 
 
+def test_convex_inverse_of_empty_array():
+    # an empty array has nothing to bisect; the convergence test must not reduce over it
+    combo = convex_combine([make_sine_generator(), make_identity_generator()], [0.5, 0.5])
+    for inv in (combo.inverse, ExtendedGenerator(combo).inverse):
+        got = inv(np.array([]))
+        assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == (0,)
+
+
 def test_convex_validation():
     sine = make_sine_generator()
     with pytest.raises(DomainError):
