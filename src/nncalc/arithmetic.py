@@ -5,7 +5,10 @@ iterate: x op_k y = g^k(g^{-k}(x) op g^{-k}(y)).  Level 0 is ordinary
 arithmetic by convention; with the unit-periodic extension every level
 fixed the integers, so integer arithmetic looks the same everywhere.
 The ordering relation is shared by all levels because g is strictly
-increasing.
+increasing.  Every operation here, and every composite built on them,
+pulls each operand back once, computes in ordinary arithmetic and pushes
+the result once; a non-finite operand or base-level result raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -46,10 +49,19 @@ class ArithmeticContext:
         return self.egen.iterate(x, -self.level)
 
 
-def _push_finite(ctx: ArithmeticContext, what: str, base: float) -> float:
+def _pull_finite(egen: ExtendedGenerator, level: int, what: str, x: float) -> float:
+    """g^-level(x) of a level-``level`` operand; a non-finite x is a DomainError."""
+    if not math.isfinite(x):  # the pull would turn inf into NaN, or keep it at level 0
+        raise DomainError(f"{what} at level {level}: operand {x!r} is not finite")
+    return egen.iterate(x, -level)
+
+
+def _push_finite(egen: ExtendedGenerator, level: int, what: str, base: float) -> float:
+    """g^level(base); the one place where a non-finite base-level result
+    becomes a DomainError."""
     if not math.isfinite(base):  # the push would turn inf into NaN
-        raise DomainError(f"{what} at level {ctx.level}: base-level result {base!r} is not finite")
-    return ctx.egen.iterate(base, ctx.level)  # ctx.push, one call less on the scalar path
+        raise DomainError(f"{what} at level {level}: base-level result {base!r} is not finite")
+    return egen.iterate(base, level)
 
 
 def _inf_on_overflow(op: Callable, *args) -> float:
@@ -70,18 +82,29 @@ def _exact_sum(values: list) -> float:
     return _inf_on_overflow(operator.truediv, sum(n * (den // d) for n, d in ratios), den)
 
 
+def _sum_push(ctx: ArithmeticContext, what: str, pulled: list) -> float:
+    """Push the correctly rounded sum of base-level values to ``ctx.level``."""
+    try:
+        base = math.fsum(pulled)
+    except OverflowError:  # a partial sum overflowed; the exact sum may still be finite
+        base = _exact_sum(pulled)
+    except ValueError:  # inf and -inf among the values; _push_finite rejects the NaN
+        base = math.nan
+    return _push_finite(ctx.egen, ctx.level, what, base)
+
+
 def arith(ctx: ArithmeticContext, kind: str, x: float, y: float) -> float:
     """Apply one of add/sub/mul/div in the arithmetic of ``ctx.level``."""
     try:
         op = _OPS[kind]
     except KeyError:
         raise DomainError(f"unknown operation kind {kind!r}, expected one of {sorted(_OPS)}")
-    px = ctx.pull(x)
-    py = ctx.pull(y)
+    px = _pull_finite(ctx.egen, ctx.level, kind, x)
+    py = _pull_finite(ctx.egen, ctx.level, kind, y)
     if kind == "div" and py == 0.0:
         raise PullbackDivisionError(
             f"division by {y!r} whose level-{ctx.level} pullback is 0", pullback=py)
-    return _push_finite(ctx, kind, op(px, py))
+    return _push_finite(ctx.egen, ctx.level, kind, op(px, py))
 
 
 def embed_natural(ctx: ArithmeticContext, n: int) -> float:
@@ -101,7 +124,8 @@ def power(ctx: ArithmeticContext, x: float, n: int) -> float:
     """The n-fold level-k product of x, evaluated as g^k(g^{-k}(x)^n)."""
     if n < 1:
         raise DomainError("power exponent must be a positive integer")
-    return _push_finite(ctx, "power", _inf_on_overflow(operator.pow, ctx.pull(x), n))
+    base = _inf_on_overflow(operator.pow, _pull_finite(ctx.egen, ctx.level, "power", x), n)
+    return _push_finite(ctx.egen, ctx.level, "power", base)
 
 
 def compare(x: float, y: float) -> str:
@@ -123,16 +147,10 @@ def level_sum(ctx: ArithmeticContext, values: Iterable[float]) -> float:
     Associativity lets the fold be evaluated with a single push of the
     compensated base-level sum; pairwise folding agrees within roundoff.
     """
-    pulled = list(map(ctx.pull, values))
-    try:
-        base = math.fsum(pulled)
-    except OverflowError:  # a partial sum overflowed; the exact sum may still be finite
-        base = _exact_sum(pulled)
-    except ValueError:  # inf and -inf among the pulled values; _push_finite rejects the NaN
-        base = math.nan
-    return _push_finite(ctx, "level_sum", base)
+    return _sum_push(ctx, "level_sum", [_pull_finite(ctx.egen, ctx.level, "level_sum", v) for v in values])
 
 
 def level_prod(ctx: ArithmeticContext, values: Iterable[float]) -> float:
     """Fold of the level-k multiplication over ``values`` (single-push form)."""
-    return _push_finite(ctx, "level_prod", math.prod(map(ctx.pull, values)))
+    base = math.prod(_pull_finite(ctx.egen, ctx.level, "level_prod", v) for v in values)
+    return _push_finite(ctx.egen, ctx.level, "level_prod", base)

@@ -10,7 +10,9 @@ base and pushed to the target level:
 This form makes both fundamental theorems of calculus hold by construction
 and avoids inverting the generator inside inner loops.  Base callables must
 be effect-free; quadrature subdivision is sequential per call but separate
-calls are independently parallelizable.
+calls are independently parallelizable.  Pulls and pushes are the checked
+ones of the level arithmetic: a non-finite argument, or a base-level result
+that is not finite, raises DomainError.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .arithmetic import _inf_on_overflow, _pull_finite, _push_finite
 from .errors import DomainError, QuadratureError
 from .generator import ExtendedGenerator
 
@@ -43,8 +46,8 @@ class LevelFunction:
     breakpoints: tuple = ()
 
     def value(self, x: float) -> float:
-        return self.egen.iterate(self.base(self.egen.iterate(x, -self.source_level)),
-                                 self.target_level)
+        r = _pull_finite(self.egen, self.source_level, "LevelFunction.value", x)
+        return _push_finite(self.egen, self.target_level, "LevelFunction.value", self.base(r))
 
     def _like(self, base, breakpoints=None):
         return LevelFunction(base, self.egen, self.source_level, self.target_level,
@@ -71,7 +74,7 @@ class LevelFunction:
 
     def scaled_by(self, c: float) -> "LevelFunction":
         """Level-l multiplication by the constant c (pulled back once)."""
-        cb = self.egen.iterate(c, -self.target_level)
+        cb = _pull_finite(self.egen, self.target_level, "scaled_by", c)
         f = self.base
         return self._like(lambda r: cb * f(r))
 
@@ -83,7 +86,7 @@ def nn_derivative(fn: LevelFunction, x: float, step: float | None = None) -> flo
     refinement, step h = max(1, |r|) * eps^(1/3) unless given.  The result
     is pushed to the target level.
     """
-    r = fn.egen.iterate(x, -fn.source_level)
+    r = _pull_finite(fn.egen, fn.source_level, "nn_derivative", x)
     h = step if step is not None else max(1.0, abs(r)) * _EPS_CBRT
     f = fn.base
 
@@ -92,10 +95,7 @@ def nn_derivative(fn: LevelFunction, x: float, step: float | None = None) -> flo
 
     d1 = central(h)
     d2 = central(0.5 * h)
-    d = (4.0 * d2 - d1) / 3.0
-    if not math.isfinite(d):
-        raise DomainError(f"non-finite base evaluations while differentiating near r={r!r}")
-    return fn.egen.iterate(d, fn.target_level)
+    return _push_finite(fn.egen, fn.target_level, "nn_derivative", (4.0 * d2 - d1) / 3.0)
 
 
 def _adaptive_simpson(f: Callable, a: float, b: float, tol: float,
@@ -166,10 +166,10 @@ def nn_integral(fn: LevelFunction, a: float, b: float, tol: float = 1e-10) -> fl
     """
     if a > b:
         raise DomainError("integration requires a <= b (the ordering is level independent)")
-    ra = fn.egen.iterate(a, -fn.source_level)
-    rb = fn.egen.iterate(b, -fn.source_level)
+    ra = _pull_finite(fn.egen, fn.source_level, "nn_integral", a)
+    rb = _pull_finite(fn.egen, fn.source_level, "nn_integral", b)
     base_value = integrate_base(fn.base, ra, rb, tol=tol, breakpoints=fn.breakpoints)
-    return fn.egen.iterate(base_value, fn.target_level)
+    return _push_finite(fn.egen, fn.target_level, "nn_integral", base_value)
 
 
 def nn_exp(egen: ExtendedGenerator, l: int, k: int, x: float) -> float:
@@ -178,12 +178,13 @@ def nn_exp(egen: ExtendedGenerator, l: int, k: int, x: float) -> float:
     Solves the defining differential equation of the level exponential and
     turns level-k addition into level-l multiplication.
     """
-    return egen.iterate(math.exp(egen.iterate(x, -k)), l)
+    pulled = _pull_finite(egen, k, "nn_exp", x)
+    return _push_finite(egen, l, "nn_exp", _inf_on_overflow(math.exp, pulled))
 
 
 def nn_ln(egen: ExtendedGenerator, k: int, l: int, x: float) -> float:
     """Logarithm from level l to level k: g^k(ln(g^{-l}(x))), inverse of nn_exp."""
-    pulled = egen.iterate(x, -l)
+    pulled = _pull_finite(egen, l, "nn_ln", x)
     if pulled <= 0.0:
         raise DomainError(f"logarithm needs a positive pullback, got {pulled!r}")
-    return egen.iterate(math.log(pulled), k)
+    return _push_finite(egen, k, "nn_ln", math.log(pulled))

@@ -1,4 +1,4 @@
-"""Renyi entropy as a quasi-arithmetic mean and its arithmetic reformulations.
+"""Renyi entropy as a quasi-arithmetic mean and in closed form.
 
 The order-alpha entropy is the Kolmogorov-Nagumo average of the information
 content -ln p under phi_a(x) = exp((1-a)x):
@@ -75,33 +75,6 @@ def renyi_closed(dist: Distribution, alpha: float) -> float:
     if total == 0.0:
         return math.inf if alpha > 1.0 else -math.inf
     return math.log(total) / (1.0 - alpha)
-
-
-def renyi_oplus_form(dist: Distribution, alpha: float) -> float:
-    """Experimental: the entropy as a phi-arithmetic sum of products.
-
-    Transports every probability to P = phi_a^{-1}(p) and folds
-    P (x) ln(1/phi_a(P)) with the phi-deformed addition.  Kept as a
-    numerical identity check against the closed form; the general
-    hierarchical entropy family is out of scope.
-    """
-    _check_alpha(alpha)
-    if abs(1.0 - alpha) < _ALPHA_SHANNON_WINDOW:
-        return shannon(dist)
-    one_minus = 1.0 - alpha
-
-    def phi(x):
-        return math.exp(one_minus * x)
-
-    def phi_inv(x):
-        return math.log(x) / one_minus
-
-    terms = []
-    for p in dist.support():
-        big_p = phi_inv(p)
-        terms.append(phi_inv(phi(big_p) * phi(-math.log(phi(big_p)))))
-    total = math.fsum(phi(t) for t in terms)
-    return phi_inv(total)
 
 
 def g_log_info(gen: Generator | ExtendedGenerator, p: float) -> float:

@@ -9,7 +9,11 @@ produces the full ladder of probabilities attached to one overlap.
 A projector expectation <a|P|a> is a real quadratic form in the real and
 imaginary parts of the components; mapping every coefficient through the
 extended generator and replacing +/* by the level-1 operations reproduces
-g(<a|P|a>), which the lifted evaluation here verifies term by term.
+g(<a|P|a>).  The lifted evaluation follows the single-push rule for
+composites: each lifted coefficient is pulled back once, the terms are
+formed and summed with one correctly rounded sum in ordinary arithmetic,
+and that sum is pushed forward once.  Associativity of the level-1
+operations makes this equal, up to rounding, to folding them term by term.
 Ordinary complex arithmetic is used for the states themselves; the
 pair-arithmetic complex numbers live in their own module.
 """
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import ArithmeticContext, arith
+from .arithmetic import ArithmeticContext, _sum_push
 from .errors import DomainError
 from .generator import ExtendedGenerator, _default_extended, eval_iterate
 
@@ -102,24 +106,18 @@ def lifted_form_value(form: RealQuadraticForm, a,
 
     Signed components ride on the unit-periodic extension.  The result
     equals g(<a|P|a>) whenever the form encodes a projector expectation;
-    that identity is the tested contract, intermediate values depend on the
-    choice of extension.
+    that identity is the tested contract.  It is evaluated in the
+    single-push form: each lifted coefficient array is pulled back once,
+    the 3n^2 terms are multiplied in ordinary arithmetic, and their
+    correctly rounded sum is pushed forward once.  A non-finite component
+    or coefficient raises DomainError.
     """
     egen = _default_extended(egen)
     ctx = ArithmeticContext(egen, 1)
     a = np.asarray(a, dtype=complex)
-    x = a.real
-    y = a.imag
-    n = len(x)
-
-    def lifted_term(u: float, coeff: float, w: float) -> float:
-        prod = arith(ctx, "mul", egen.forward(u), egen.forward(coeff))
-        return arith(ctx, "mul", prod, egen.forward(w))
-
-    acc = None
-    for left, mat, right in ((x, form.re_re, x), (y, form.im_im, y), (x, form.re_im, y)):
-        for r in range(n):
-            for s in range(n):
-                term = lifted_term(float(left[r]), float(mat[r, s]), float(right[s]))
-                acc = term if acc is None else arith(ctx, "add", acc, term)
-    return acc if acc is not None else 0.0
+    parts = (a.real, a.imag, form.re_re, form.im_im, form.re_im)
+    if not all(np.isfinite(v).all() for v in parts):
+        raise DomainError("lifted form: a component or coefficient is not finite")
+    x, y, xx, yy, xy = (ctx.pull(egen.forward(v)) for v in parts)
+    terms = [x[:, None] * xx * x, y[:, None] * yy * y, x[:, None] * xy * y]
+    return _sum_push(ctx, "lifted_form_value", np.concatenate(terms, axis=None).tolist())

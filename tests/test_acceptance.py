@@ -345,7 +345,7 @@ def test_criterion_09_fubini(sine_eg, rng):
         direct = form.evaluate(a)
         worst_lift = max(worst_lift,
                          abs(lifted_form_value(form, a) - sine_eg.forward(direct)))
-        assert worst_lift < 1e-8
+        assert worst_lift < 1e-12
     report(9, "overlap round trip and lifted quadratic form",
            f"round trip {worst_rt:.2e}, lift {worst_lift:.2e}")
 

@@ -276,9 +276,19 @@ def test_non_finite_base_result_raises(sine_eg, level):
 
 @pytest.mark.parametrize("level", [0, 1, -1])
 def test_level_sum_of_opposite_infinities_raises(sine_eg, level):
-    # fsum raises ValueError on inf + -inf; the base-level sum is NaN
-    with pytest.raises(DomainError, match="not finite"):
-        level_sum(ctx_at(sine_eg, level), [math.inf, -math.inf])
+    # every operation rejects a non-finite operand before it pulls, so no
+    # numpy warning is emitted, and level-0 division by inf gives no 0.0
+    ctx = ctx_at(sine_eg, level)
+    calls = [lambda: level_sum(ctx, [math.inf, -math.inf]),
+             lambda: level_sum(ctx, [0.5, math.nan]),
+             lambda: arith(ctx, "add", math.inf, 1.0),
+             lambda: arith(ctx, "div", 1.0, math.inf),
+             lambda: arith(ctx, "mul", math.nan, 0.5),
+             lambda: power(ctx, -math.inf, 2),
+             lambda: level_prod(ctx, [0.5, math.inf])]
+    for call in calls:
+        with pytest.raises(DomainError, match="operand .* is not finite"):
+            call()
 
 
 @pytest.mark.parametrize("level", [0, 1, -1])

@@ -101,6 +101,27 @@ def test_exp_ln_basics(sine_eg):
         nn_ln(sine_eg, 0, 0, 0.0)
 
 
+@pytest.mark.parametrize("call", [
+    # a base-level result that is not finite
+    lambda eg: nn_exp(eg, 0, 0, 710.0),  # exp overflows
+    lambda eg: nn_exp(eg, 1, 0, 800.0),
+    lambda eg: nn_ln(eg, 0, 0, math.inf),  # log(inf) is inf
+    lambda eg: lf(eg, lambda r: math.inf).value(0.5),
+    lambda eg: lf(eg, lambda r: math.inf, l=1).value(0.5),
+    # a non-finite argument, rejected before it is pulled back
+    lambda eg: nn_exp(eg, 1, 1, math.inf),
+    lambda eg: nn_ln(eg, 0, 1, math.nan),
+    lambda eg: lf(eg, math.sin, k=1).value(-math.inf),
+    lambda eg: nn_derivative(lf(eg, math.sin, k=-1), math.nan),
+    lambda eg: nn_integral(lf(eg, math.sin, k=1), 0.0, math.inf),
+    lambda eg: lf(eg, math.sin, l=1).scaled_by(math.inf),
+], ids=["exp-level0", "exp-level1", "ln-inf", "value-level0", "value-level1",
+        "exp-arg", "ln-arg", "value-arg", "derivative-arg", "integral-arg", "scaled-arg"])
+def test_level_maps_reject_non_finite(sine_eg, call):
+    with pytest.raises(DomainError, match="not finite"):
+        call(sine_eg)
+
+
 def test_exp_ln_inverse(sine_eg, rng):
     checked = 0
     for _ in range(40):

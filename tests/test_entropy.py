@@ -7,7 +7,6 @@ from nncalc.entropy import (
     g_log_info,
     renyi_closed,
     renyi_kn,
-    renyi_oplus_form,
     shannon,
 )
 from nncalc.errors import DomainError
@@ -113,15 +112,6 @@ def test_zero_probabilities_dropped():
     padded = Distribution([0.4, 0.0, 0.6, 0.0])
     for alpha in ALPHAS:
         assert renyi_kn(padded, alpha) == renyi_kn(base, alpha)
-
-
-def test_oplus_reformulation_matches_closed(rng):
-    for _ in range(10):
-        raw = rng.uniform(0.05, 1.0, size=5)
-        dist = Distribution((raw / raw.sum()).tolist())
-        for alpha in ALPHAS:
-            assert renyi_oplus_form(dist, alpha) == pytest.approx(
-                renyi_closed(dist, alpha), abs=1e-10)
 
 
 def test_g_log_info_values():

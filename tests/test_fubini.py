@@ -118,14 +118,17 @@ def test_lifted_form_identity_projector(sine_eg):
 
 
 def test_lifted_form_matches_generator_image(sine_eg, rng):
-    for _ in range(40):
-        dim = int(rng.integers(2, 4))
-        a = random_unit(rng, dim)
-        b = random_unit(rng, dim)
-        form = projector_form(b)
-        direct = form.evaluate(a)
-        assert lifted_form_value(form, a) == pytest.approx(
-            sine_eg.forward(direct), abs=1e-8)
+    # one pull per coefficient, one correctly rounded sum, one push: the
+    # worst distance seen over 5000 draws was 9.3e-14 at dimension 2-3
+    # and 9.2e-13 at dimension 16
+    for dim, draws, tol in ((2, 20, 1e-12), (3, 20, 1e-12), (16, 10, 1e-11)):
+        for _ in range(draws):
+            a = random_unit(rng, dim)
+            b = random_unit(rng, dim)
+            form = projector_form(b)
+            direct = form.evaluate(a)
+            assert lifted_form_value(form, a) == pytest.approx(
+                sine_eg.forward(direct), abs=tol)
 
 
 def test_lifted_form_phase_invariance(rng):
@@ -134,7 +137,17 @@ def test_lifted_form_phase_invariance(rng):
     form = projector_form(b)
     v1 = lifted_form_value(form, a)
     v2 = lifted_form_value(form, a * np.exp(1.3j))
-    assert v1 == pytest.approx(v2, abs=1e-8)
+    assert v1 == pytest.approx(v2, abs=1e-12)
+
+
+def test_lifted_form_rejects_non_finite():
+    form = projector_form(np.array([1.0, 1.0j]))
+    with pytest.raises(DomainError, match="not finite"):
+        lifted_form_value(form, np.array([math.inf, 0.5]))
+    bad = RealQuadraticForm(re_re=np.eye(2), im_im=np.full((2, 2), math.nan),
+                            re_im=np.zeros((2, 2)))
+    with pytest.raises(DomainError, match="not finite"):
+        lifted_form_value(bad, np.array([0.6, 0.8j]))
 
 
 def test_projector_form_zero_vector():
