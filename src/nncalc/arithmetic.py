@@ -40,14 +40,6 @@ class ArithmeticContext:
     egen: ExtendedGenerator
     level: int
 
-    def push(self, x):
-        """Map a base-arithmetic value to level k: g^k(x)."""
-        return self.egen.iterate(x, self.level)
-
-    def pull(self, x):
-        """Map a level-k value back to the base arithmetic: g^{-k}(x)."""
-        return self.egen.iterate(x, -self.level)
-
 
 def _pull_finite(egen: ExtendedGenerator, level: int, what: str, x: float) -> float:
     """g^-level(x) of a level-``level`` operand; a non-finite x is a DomainError."""
@@ -67,7 +59,7 @@ def _push_finite(egen: ExtendedGenerator, level: int, what: str, base: float) ->
 def _inf_on_overflow(op: Callable, *args) -> float:
     try:
         return op(*args)
-    except OverflowError:  # float ** int and int / int raise where * and / give inf
+    except OverflowError:  # float ** int, int / int and float(int) raise where * and / give inf
         return math.inf
 
 
@@ -110,14 +102,15 @@ def arith(ctx: ArithmeticContext, kind: str, x: float, y: float) -> float:
 def embed_natural(ctx: ArithmeticContext, n: int) -> float:
     """The image n_k = g^k(n) of a natural number, equal to the n-fold
     level-k sum of the unit."""
-    return ctx.push(float(n))
+    return _push_finite(ctx.egen, ctx.level, "embed_natural", _inf_on_overflow(float, n))
 
 
 def embed_rational(ctx: ArithmeticContext, n: int, m: int) -> float:
     """The level-k rational (n/m)_k = g^k(n/m)."""
     if m == 0:
         raise DomainError("rational embedding needs a nonzero denominator")
-    return ctx.push(n / m)
+    return _push_finite(ctx.egen, ctx.level, "embed_rational",
+                        _inf_on_overflow(operator.truediv, n, m))
 
 
 def power(ctx: ArithmeticContext, x: float, n: int) -> float:

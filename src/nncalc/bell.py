@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .arithmetic import ArithmeticContext, arith
 from .errors import DomainError
-from .generator import LEVEL_CAP, ExtendedGenerator, _default_extended
+from .generator import ExtendedGenerator, sine_extended
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,21 +136,20 @@ class GMap:
     def inverse(self, y):
         return 0.5 * self.egen.inverse(2.0 * y)
 
-    def iterate(self, x, k: int, cap: int = LEVEL_CAP):
+    def iterate(self, x, k: int):
         """G^k = S^-1 g_R^k S for S(x) = 2x, exact because scaling by 2 is."""
-        return 0.5 * self.egen.iterate(2.0 * x, k, cap)
+        return 0.5 * self.egen.iterate(2.0 * x, k)
 
 
 def singlet_from_hidden(a1_angle: float, a2_angle: float,
-                        egen: ExtendedGenerator | None = None) -> float:
+                        egen: ExtendedGenerator = sine_extended()) -> float:
     """Joint singlet probability as the G-lift of an exact overlap integral.
 
     Equals g(2 * overlap)/2 where overlap = int chi_{a1} chi_{a2} rho; the
     non-Newtonian-integral representation of the same number is exercised by
     the cross-check suite through a G-driven level function.
     """
-    gmap = GMap(_default_extended(egen))
-    return gmap.forward(hidden_overlap(a1_angle, a2_angle))
+    return GMap(egen).forward(hidden_overlap(a1_angle, a2_angle))
 
 
 class AngleQuad(NamedTuple):
@@ -167,7 +166,7 @@ def _conditional(delta) -> float:
     return math.cos(0.5 * reduced_angle(delta)) ** 2
 
 
-def ch_value_level1(quad: AngleQuad, egen: ExtendedGenerator | None = None) -> float:
+def ch_value_level1(quad: AngleQuad, egen: ExtendedGenerator = sine_extended()) -> float:
     """Four-term Clauser-Horne combination evaluated with level-1 operations.
 
     t(a,b) (-_1) t(a,b') (+_1) t(a',b) (+_1) t(a',b') for the conditionals
@@ -175,7 +174,7 @@ def ch_value_level1(quad: AngleQuad, egen: ExtendedGenerator | None = None) -> f
     the value provably lies in [0, 2] for every quad.
     """
     quad = AngleQuad(*quad)
-    ctx = ArithmeticContext(_default_extended(egen), 1)
+    ctx = ArithmeticContext(egen, 1)
     t1 = _conditional(quad.a - quad.b)
     t2 = _conditional(quad.a - quad.b_prime)
     t3 = _conditional(quad.a_prime - quad.b)
@@ -253,7 +252,7 @@ def _scan_max(cache: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     return float(vals[ia]), (ia, int(iu[ia]), int(iw[ia]))
 
 
-def ch_scan(resolution: float, egen: ExtendedGenerator | None = None) -> ChScanReport:
+def ch_scan(resolution: float, egen: ExtendedGenerator = sine_extended()) -> ChScanReport:
     """Grid scan of both Clauser-Horne values over detector quads.
 
     Both combinations are invariant under a common rotation of all four
@@ -271,7 +270,6 @@ def ch_scan(resolution: float, egen: ExtendedGenerator | None = None) -> ChScanR
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise DomainError(f"resolution must be positive and finite, got {resolution!r}")
-    egen = _default_extended(egen)
     n = max(4, int(round(TWO_PI / resolution)))
     step = TWO_PI / n
     grid = np.arange(n) * step

@@ -23,7 +23,7 @@ _ALPHA_SHANNON_WINDOW = 1e-8
 
 @dataclass(frozen=True)
 class Distribution:
-    """A finite probability distribution (nonnegative entries summing to 1)."""
+    """A finite probability distribution (entries in [0, 1] summing to 1)."""
 
     probs: tuple
 
@@ -31,9 +31,10 @@ class Distribution:
         object.__setattr__(self, "probs", tuple(float(p) for p in probs))
         if not self.probs:
             raise DomainError("distribution must have at least one outcome")
-        if any(p < 0.0 for p in self.probs):
-            raise DomainError("probabilities must be nonnegative")
-        if abs(math.fsum(self.probs) - 1.0) > 1e-12:
+        # written so that a NaN fails; entries in [0, 1] also keep fsum from overflowing
+        if not all(0.0 <= p <= 1.0 for p in self.probs):
+            raise DomainError("probabilities must lie in [0, 1]")
+        if not abs(math.fsum(self.probs) - 1.0) <= 1e-12:
             raise DomainError(f"probabilities must sum to 1, got {math.fsum(self.probs)!r}")
 
     def support(self):
@@ -41,7 +42,7 @@ class Distribution:
 
 
 def _check_alpha(alpha: float):
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # a NaN fails too
         raise DomainError(f"alpha must be positive, got {alpha!r}")
 
 

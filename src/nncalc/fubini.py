@@ -27,7 +27,7 @@ import numpy as np
 
 from .arithmetic import ArithmeticContext, _sum_push
 from .errors import DomainError
-from .generator import ExtendedGenerator, _default_extended, eval_iterate
+from .generator import ExtendedGenerator, eval_iterate, sine_extended
 
 HALF_PI = 0.5 * math.pi
 
@@ -55,7 +55,7 @@ def hidden_prob(theta: float) -> float:
 
 
 def ladder(P: float, k_from: int, k_to: int,
-           egen: ExtendedGenerator | None = None) -> list[float]:
+           egen: ExtendedGenerator = sine_extended()) -> list[float]:
     """All level images g^j(p) for j in [k_from, k_to] of one overlap P.
 
     The base entry p = hidden_prob(arccos(sqrt(P))) sits at level 0 and the
@@ -65,7 +65,6 @@ def ladder(P: float, k_from: int, k_to: int,
         raise DomainError(f"P must lie in [0,1], got {P!r}")
     if k_from > k_to:
         raise DomainError("k_from must not exceed k_to")
-    egen = _default_extended(egen)
     p0 = hidden_prob(math.acos(math.sqrt(P)))
     return [eval_iterate(egen, j, p0) for j in range(k_from, k_to + 1)]
 
@@ -100,7 +99,7 @@ def projector_form(b) -> RealQuadraticForm:
 
 
 def lifted_form_value(form: RealQuadraticForm, a,
-                      egen: ExtendedGenerator | None = None) -> float:
+                      egen: ExtendedGenerator = sine_extended()) -> float:
     """The quadratic form with every coefficient mapped through g_R and
     +/* replaced by the level-1 operations.
 
@@ -112,12 +111,11 @@ def lifted_form_value(form: RealQuadraticForm, a,
     correctly rounded sum is pushed forward once.  A non-finite component
     or coefficient raises DomainError.
     """
-    egen = _default_extended(egen)
-    ctx = ArithmeticContext(egen, 1)
     a = np.asarray(a, dtype=complex)
     parts = (a.real, a.imag, form.re_re, form.im_im, form.re_im)
     if not all(np.isfinite(v).all() for v in parts):
         raise DomainError("lifted form: a component or coefficient is not finite")
-    x, y, xx, yy, xy = (ctx.pull(egen.forward(v)) for v in parts)
+    x, y, xx, yy, xy = (egen.iterate(egen.forward(v), -1) for v in parts)
     terms = [x[:, None] * xx * x, y[:, None] * yy * y, x[:, None] * xy * y]
-    return _sum_push(ctx, "lifted_form_value", np.concatenate(terms, axis=None).tolist())
+    return _sum_push(ArithmeticContext(egen, 1), "lifted_form_value",
+                     np.concatenate(terms, axis=None).tolist())

@@ -16,6 +16,7 @@ way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,13 +75,20 @@ class GComplex:
     x2: float
 
 
+def _check_finite(what: str, a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"{what} component ({a!r}, {b!r}) is not finite")
+
+
 def to_base(pa: PairArithmetic, u: GComplex) -> complex:
-    """The ordinary complex number f1(x1) + i f2(x2) behind u."""
+    """The ordinary complex number f1(x1) + i f2(x2) behind a finite u."""
+    _check_finite("native", u.x1, u.x2)
     return complex(pa.f1.forward(u.x1), pa.f2.forward(u.x2))
 
 
 def from_base(pa: PairArithmetic, z: complex) -> GComplex:
-    """Map an ordinary complex number back to native components."""
+    """Map a complex number back to native components; a non-finite part is a DomainError."""
+    _check_finite("base", z.real, z.imag)
     return GComplex(pa.f1.inverse(z.real), pa.f2.inverse(z.imag))
 
 
@@ -122,6 +130,7 @@ def gc_neg(pa: PairArithmetic, u: GComplex) -> GComplex:
 
 def gc_conj(pa: PairArithmetic, u: GComplex) -> GComplex:
     """Conjugation: the X2 component flips through its own arithmetic."""
+    _check_finite("native", u.x1, u.x2)
     return GComplex(u.x1, pa.f2.inverse(-pa.f2.forward(u.x2)))
 
 
@@ -147,7 +156,11 @@ def gc_power(pa: PairArithmetic, u: GComplex, n: int) -> GComplex:
     """n-fold pair-arithmetic product of u with itself."""
     if n < 1:
         raise DomainError("power exponent must be a positive integer")
-    return from_base(pa, to_base(pa, u) ** n)
+    try:
+        z = to_base(pa, u) ** n
+    except OverflowError:  # complex ** int raises above n = 100 where * gives inf
+        z = complex(math.inf, math.inf)
+    return from_base(pa, z)
 
 
 @dataclass(frozen=True)

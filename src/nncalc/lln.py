@@ -16,13 +16,15 @@ collapses before the classical Bernoulli argument applies.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arithmetic import _inf_on_overflow
 from .errors import ApplicabilityError, DomainError
-from .generator import ExtendedGenerator, _default_extended, eval_iterate
+from .generator import ExtendedGenerator, eval_iterate, sine_extended
 
 #: switch binomial coefficients to log-space above this trial count
 _EXACT_COMB_MAX = 50
@@ -36,7 +38,7 @@ class LevelBinomial:
     p: float
     k: int = 0
     l: int = 0
-    egen: ExtendedGenerator | None = None
+    egen: ExtendedGenerator = sine_extended()
 
     def __post_init__(self):
         if self.N < 1:
@@ -44,15 +46,12 @@ class LevelBinomial:
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"success probability must lie in [0,1], got {self.p!r}")
 
-    def _egen(self) -> ExtendedGenerator:
-        return _default_extended(self.egen)
-
     def effective_p(self) -> float:
         """g^{k-l}(p): the success probability seen after collapsing levels."""
-        return eval_iterate(self._egen(), self.k - self.l, self.p)
+        return eval_iterate(self.egen, self.k - self.l, self.p)
 
     def effective_q(self) -> float:
-        return eval_iterate(self._egen(), self.k - self.l, 1.0 - self.p)
+        return eval_iterate(self.egen, self.k - self.l, 1.0 - self.p)
 
 
 def _comb(N: int, n: int) -> float:
@@ -68,7 +67,7 @@ def pmf(dist: LevelBinomial, n: int) -> float:
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
     base = _comb(dist.N, n) * q_eff ** (dist.N - n) * p_eff ** n
-    return eval_iterate(dist._egen(), dist.l, base)
+    return eval_iterate(dist.egen, dist.l, base)
 
 
 def pmf_base_vector(dist: LevelBinomial) -> np.ndarray:
@@ -82,12 +81,24 @@ def pmf_base_vector(dist: LevelBinomial) -> np.ndarray:
 
 def moments(dist: LevelBinomial) -> tuple[float, float]:
     """(mean, variance) of the success count in the observer arithmetic."""
-    egen = dist._egen()
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
-    mean = eval_iterate(egen, dist.l, dist.N * p_eff)
-    var = eval_iterate(egen, dist.l, dist.N * p_eff * q_eff)
+    mean = eval_iterate(dist.egen, dist.l, dist.N * p_eff)
+    var = eval_iterate(dist.egen, dist.l, dist.N * p_eff * q_eff)
     return mean, var
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0.0):  # a NaN fails too
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+
+
+def _deviation_bound(num: float, N: float, eps: float) -> float:
+    """num / (N eps^2), the base-level Chebyshev ratio; DomainError unless it is finite."""
+    den = N * _inf_on_overflow(operator.pow, eps, 2)  # eps^2 is 0 below about 1e-162
+    if den == 0.0 or not math.isfinite(num / den):
+        raise DomainError(f"deviation bound {num!r} / ({N!r} * {eps!r}**2) is not finite")
+    return num / den
 
 
 def chebyshev_bound(dist: LevelBinomial, eps: float) -> float:
@@ -96,16 +107,15 @@ def chebyshev_bound(dist: LevelBinomial, eps: float) -> float:
     Valid only when N >= p_eff q_eff / eps^2 (otherwise the bound exceeds 1);
     violating that raises ApplicabilityError naming the minimal N.
     """
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    _check_eps(eps)
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
-    min_n = p_eff * q_eff / eps ** 2
+    min_n = _deviation_bound(p_eff * q_eff, 1, eps)
     if dist.N < min_n:
         raise ApplicabilityError(
             f"bound applies only for N >= {min_n:.6g} (got N={dist.N})",
             min_trials=math.ceil(min_n))
-    return eval_iterate(dist._egen(), dist.l, p_eff * q_eff / (dist.N * eps ** 2))
+    return eval_iterate(dist.egen, dist.l, _deviation_bound(p_eff * q_eff, dist.N, eps))
 
 
 @dataclass(frozen=True)
@@ -127,34 +137,31 @@ def simulate(dist: LevelBinomial, eps: float, trials: int, seed: int) -> Simulat
     """
     if trials < 1:
         raise DomainError("trials must be a positive integer")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    _check_eps(eps)
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
+    bound = _deviation_bound(p_eff * q_eff, dist.N, eps)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     counts = rng.binomial(dist.N, p_eff, size=trials)
     exceed = np.abs(p_eff - counts / dist.N) >= eps
     rate = float(np.count_nonzero(exceed)) / trials
-    bound = p_eff * q_eff / (dist.N * eps ** 2)
     return SimulationReport(empirical_exceed_rate=rate, bound=float(bound))
 
 
 def fig3_table(l_values: Iterable[int], n_range: Sequence[int], eps: float,
-               egen: ExtendedGenerator | None = None) -> list[tuple[int, int, float]]:
+               egen: ExtendedGenerator = sine_extended()) -> list[tuple[int, int, float]]:
     """Rows (l, N, g^l(1/(4 N eps^2))) for a symmetric coin.
 
     For p = 1/2 the effective probability is 1/2 at every k, so the bound
     depends on k only through l.  Rows are strictly decreasing in N for
     fixed l because g^l is strictly increasing.
     """
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    egen = _default_extended(egen)
+    _check_eps(eps)
     rows = []
     for l in l_values:
         for N in n_range:
             if N < 1:
                 raise DomainError("trial counts must be positive")
-            bound = egen.iterate(1.0 / (4.0 * N * eps ** 2), l)
+            bound = egen.iterate(_deviation_bound(1.0, 4.0 * N, eps), l)
             rows.append((int(l), int(N), float(bound)))
     return rows

@@ -23,18 +23,18 @@ import numpy as np
 
 from .arithmetic import ArithmeticContext, level_prod, level_sum
 from .errors import ConfigError, DomainError
-from .generator import ExtendedGenerator, _default_extended, eval_iterate
+from .generator import ExtendedGenerator, eval_iterate, sine_extended
 
 
-def level_shift(p: float, k: int, egen: ExtendedGenerator | None = None) -> float:
+def level_shift(p: float, k: int, egen: ExtendedGenerator = sine_extended()) -> float:
     """The level-k image g^k(p) of a probability, again in [0,1]."""
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability must lie in [0,1], got {p!r}")
-    return eval_iterate(_default_extended(egen), k, p)
+    return eval_iterate(egen, k, p)
 
 
 def normalization_residual(p: float, k: int, l: int,
-                           egen: ExtendedGenerator | None = None) -> float:
+                           egen: ExtendedGenerator = sine_extended()) -> float:
     """|g^k(p) (+_l) g^k(1-p) - 1|, with both shifts evaluated independently.
 
     Mathematically zero for every (k, l).  Numerically the level-l addition
@@ -43,7 +43,6 @@ def normalization_residual(p: float, k: int, l: int,
     therefore amplified roughly like its 2^|l|-th root unless the iterates
     have saturated exactly.
     """
-    egen = _default_extended(egen)
     u = level_shift(p, k, egen)
     v = level_shift(1.0 - p, k, egen)
     ctx = ArithmeticContext(egen, l)
@@ -51,14 +50,13 @@ def normalization_residual(p: float, k: int, l: int,
 
 
 def joint_product(conds: Sequence[tuple[float, int]], l: int = 0,
-                  egen: ExtendedGenerator | None = None) -> float:
+                  egen: ExtendedGenerator = sine_extended()) -> float:
     """Level-l product of level-shifted conditionals.
 
     ``conds`` is a sequence of (probability, level) pairs; the result is
     the fold of the level-l multiplication over g^{k_j}(p_j).  For l = 0
     this is the plain product of the shifted factors.
     """
-    egen = _default_extended(egen)
     factors = [level_shift(p, k, egen) for p, k in conds]
     return level_prod(ArithmeticContext(egen, l), factors)
 
@@ -158,7 +156,7 @@ def tree_to_json(tree: CondTree) -> dict:
 
 
 def tree_joint(tree: CondTree, leaf_path: str,
-               egen: ExtendedGenerator | None = None) -> float:
+               egen: ExtendedGenerator = sine_extended()) -> float:
     """Joint probability of one root-to-leaf outcome sequence.
 
     Walks the path collecting (conditional, level) pairs and folds them with
@@ -178,11 +176,10 @@ def tree_joint(tree: CondTree, leaf_path: str,
     return joint_product(conds, l=tree.sum_level, egen=egen)
 
 
-def tree_normalization(tree: CondTree, egen: ExtendedGenerator | None = None) -> float:
+def tree_normalization(tree: CondTree, egen: ExtendedGenerator = sine_extended()) -> float:
     """Level-l sum of the joint probabilities over all leaves (brute-force
     enumeration); equals 1 up to the level-l amplification discussed in
     :func:`normalization_residual`."""
-    egen = _default_extended(egen)
     joints = [tree_joint(tree, path, egen) for path in tree.leaf_paths()]
     return level_sum(ArithmeticContext(egen, tree.sum_level), joints)
 

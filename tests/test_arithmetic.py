@@ -275,6 +275,17 @@ def test_non_finite_base_result_raises(sine_eg, level):
 
 
 @pytest.mark.parametrize("level", [0, 1, -1])
+def test_embeddings_beyond_the_float_range_raise(sine_eg, level):
+    ctx = ctx_at(sine_eg, level)
+    with pytest.raises(DomainError, match="not finite"):
+        embed_natural(ctx, 10**400)
+    with pytest.raises(DomainError, match="not finite"):
+        embed_rational(ctx, 10**400, 1)
+    # a huge numerator and denominator with a finite ratio still embed
+    assert embed_rational(ctx, 10**400, 10**399) == 10.0
+
+
+@pytest.mark.parametrize("level", [0, 1, -1])
 def test_level_sum_of_opposite_infinities_raises(sine_eg, level):
     # every operation rejects a non-finite operand before it pulls, so no
     # numpy warning is emitted, and level-0 division by inf gives no 0.0

@@ -26,7 +26,7 @@ from nncalc.bell import (
 )
 from nncalc.calculus import LevelFunction, nn_integral
 from nncalc.errors import DomainError, LevelRangeError
-from nncalc.generator import LEVEL_CAP, _default_extended
+from nncalc.generator import LEVEL_CAP, sine_extended
 from nncalc.probability import singlet_table
 
 TWO_PI = 2.0 * math.pi
@@ -243,9 +243,8 @@ def test_ch_scan_validation():
             ch_scan(resolution)
 
 
-def _ch_scan_loop(resolution, egen=None):
+def _ch_scan_loop(resolution, egen=sine_extended()):
     """The scan as one numpy pass per a', the reference for ``ch_scan``."""
-    egen = _default_extended(egen)
     n = max(4, int(round(TWO_PI / resolution)))
     step = TWO_PI / n
     grid = np.arange(n) * step
@@ -296,7 +295,7 @@ def _assert_same_report(got, want):
 @pytest.mark.parametrize("resolution", [math.radians(d) for d in (0.1, 0.37, 1.0, 5.0, 7.0, 15.0)]
                          + [TWO_PI / 4])
 def test_ch_scan_equals_loop(resolution, identity_eg):
-    for egen in (None, identity_eg):
+    for egen in (sine_extended(), identity_eg):
         _assert_same_report(ch_scan(resolution, egen), _ch_scan_loop(resolution, egen))
 
 
@@ -304,7 +303,7 @@ def test_ch_scan_equals_loop(resolution, identity_eg):
 @given(n=st.integers(4, 720), identity=st.booleans())
 def test_ch_scan_equals_loop_on_any_grid(identity_eg, n, identity):
     # n > 256 takes several chunks, most of them with a short last one
-    egen = identity_eg if identity else None
+    egen = identity_eg if identity else sine_extended()
     _assert_same_report(ch_scan(TWO_PI / n, egen), _ch_scan_loop(TWO_PI / n, egen))
 
 

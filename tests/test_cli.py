@@ -172,6 +172,14 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run(["alpha-theta", "--grid", "5", "--generator", "identity"]) == 2
     # a base-level product that overflows
     assert run(["arith", "--level", "1", "--op", "mul", "1e200", "1e200"]) == 2
+    # an eps whose square underflows, or that is NaN, leaves the bound undefined
+    for eps in ("1e-200", "1e-160", "nan"):
+        assert run(["lln", "--levels", "1", "--eps", eps, "--n-min", "1", "--n-max", "1"]) == 2
+        assert run(["lln-sim", "--N", "10", "--p", "0.5", "--eps", eps, "--trials", "10",
+                    "--seed", "1"]) == 2
+    # NaN fails the entropy guards
+    assert run(["entropy", "--probs", "0.5,0.5", "--alpha", "nan"]) == 2
+    assert run(["entropy", "--probs", "nan,0.5", "--alpha", "2"]) == 2
     capsys.readouterr()
 
 

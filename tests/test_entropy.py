@@ -56,6 +56,20 @@ def test_closed_form_frozen():
     assert renyi_closed(dist, 2.0) == pytest.approx(NEG_LN_082, abs=1e-12)
 
 
+def test_nan_fails_the_guards():
+    # support() drops a NaN, so an accepted one would vanish from every entropy
+    with pytest.raises(DomainError):
+        Distribution([math.nan, 0.5])
+    with pytest.raises(DomainError):
+        Distribution([math.nan])
+    with pytest.raises(DomainError):
+        Distribution([1e308, 1e308])  # must not overflow the sum check
+    dist = Distribution([0.5, 0.5])
+    for entropy in (renyi_kn, renyi_closed):
+        with pytest.raises(DomainError):
+            entropy(dist, math.nan)
+
+
 def test_alpha_validation():
     dist = Distribution([0.5, 0.5])
     with pytest.raises(DomainError):

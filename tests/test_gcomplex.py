@@ -41,6 +41,26 @@ def pa_sine():
     return PairArithmetic.default_sine()
 
 
+@pytest.mark.parametrize("pair", ["sine", "identity"])
+def test_non_finite_components_raise(pair):
+    # a product that overflows is rejected before the inverse map turns it into NaN
+    pa = PairArithmetic.default_sine() if pair == "sine" else PairArithmetic.identity()
+    big = GComplex(1e200, 1e200)
+    with pytest.raises(DomainError, match="base component"):
+        gc_mul(pa, big, big)
+    with pytest.raises(DomainError, match="base component"):
+        gc_add(pa, GComplex(1e308, 0.0), GComplex(1e308, 0.0))
+    with pytest.raises(DomainError, match="base component"):
+        gc_power(pa, GComplex(2.0, 0.0), 2000)  # complex ** int raises OverflowError here
+    with pytest.raises(DomainError, match="base component"):
+        from_base(pa, complex(0.0, math.nan))
+    for u in (GComplex(math.nan, 0.0), GComplex(0.5, math.inf), GComplex(-math.inf, 0.5)):
+        with pytest.raises(DomainError, match="native component"):
+            to_base(pa, u)
+        with pytest.raises(DomainError, match="native component"):
+            gc_conj(pa, u)
+
+
 def test_first_power_identity_map(sine_eg):
     assert first_power(0.37, sine_eg, sine_eg) == pytest.approx(0.37, abs=1e-14)
 

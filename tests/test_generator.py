@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ from nncalc.generator import (
     make_identity_generator,
     make_sine_generator,
     reset_clamp_count,
+    sine_extended,
     validate_generator,
 )
 
@@ -91,7 +93,7 @@ def test_eval_iterate_cap(sine_eg):
     with pytest.raises(LevelRangeError):
         eval_iterate(sine_eg, 65, 0.3)
     with pytest.raises(LevelRangeError):
-        sine_eg.iterate(0.3, -9, cap=8)
+        sine_eg.iterate(0.3, -65)
 
 
 def test_iterate_roundtrip(sine_eg):
@@ -209,6 +211,16 @@ def test_convex_validation():
         convex_combine([sine, sine], [1.5, -0.5])
 
 
+def test_convex_rejects_nan_weights():
+    sine = make_sine_generator()
+    with pytest.raises(DomainError):
+        convex_combine([sine, sine], [math.nan, 0.5])
+    with pytest.raises(DomainError):
+        convex_combine([sine, sine], [0.5, math.nan])
+    with pytest.raises(DomainError):
+        convex_combine([sine, sine], [1e308, 1e308])  # must not overflow the sum check
+
+
 def test_convex_random_weights_pass_invariants(rng):
     gens = [make_sine_generator(), make_identity_generator()]
     for _ in range(5):
@@ -287,6 +299,51 @@ def test_generator_config_rejects_unknown_keys():
         generator_from_config({"name": "convex", "components": ["sine"], "weights": [0.5]})
     with pytest.raises(ConfigError):
         generator_from_config(42)
+
+
+def test_builtins_are_shared_and_only_configs_are_validated(monkeypatch, tmp_path):
+    import nncalc.generator as generator
+
+    def refuse(gen, *args, **kwargs):
+        raise AssertionError(f"validated {gen.name}")
+
+    monkeypatch.setattr(generator, "validate_generator", refuse)
+    for name in ("sine", "identity"):
+        assert load_generator(name) is load_generator(name)
+        assert generator_from_config({"name": name}) is load_generator(name)
+    assert ExtendedGenerator(load_generator("sine")).base is sine_extended().base
+    path = tmp_path / "gen.json"
+    path.write_text('{"name": "convex", "components": ["sine", "identity"], "weights": [0.5, 0.5]}')
+    with pytest.raises(AssertionError, match="validated convex"):
+        load_generator(str(path))
+
+
+def test_every_egen_default_is_the_shared_sine_extension():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import nncalc
+
+    defaults = {}
+    for info in pkgutil.iter_modules(nncalc.__path__):
+        module = importlib.import_module(f"nncalc.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not (inspect.isfunction(obj) or dataclasses.is_dataclass(obj)):
+                continue
+            param = inspect.signature(obj).parameters.get("egen")
+            if param is not None and param.default is not inspect.Parameter.empty:
+                defaults[f"{info.name}.{name}"] = param.default
+    assert sorted(defaults) == [
+        "bell.ch_scan", "bell.ch_value_level1", "bell.singlet_from_hidden",
+        "fubini.ladder", "fubini.lifted_form_value", "lln.LevelBinomial", "lln.fig3_table",
+        "probability.joint_product", "probability.level_shift",
+        "probability.normalization_residual", "probability.tree_joint",
+        "probability.tree_normalization"]
+    for name, default in defaults.items():
+        assert default is sine_extended(), name
 
 
 def test_shared_generator_thread_safety(sine_eg):

@@ -207,6 +207,26 @@ def test_fig3_monotone_in_n():
     assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf, -math.inf, 1e-160, 1e-200])
+def test_eps_without_a_finite_bound_raises(eps):
+    # 1e-200 ** 2 underflows to 0; 1 / (4 * 1e-160 ** 2) overflows
+    dist = LevelBinomial(N=10, p=0.5)
+    calls = [lambda: fig3_table([1], range(1, 3), eps),
+             lambda: chebyshev_bound(dist, eps),
+             lambda: simulate(dist, eps, trials=10, seed=1)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_huge_eps_gives_a_zero_bound():
+    # eps ** 2 overflows; the bound it divides is 0, not an OverflowError
+    dist = LevelBinomial(N=10, p=0.5)
+    assert fig3_table([1], range(1, 2), 1e200) == [(1, 1, 0.0)]
+    assert chebyshev_bound(dist, 1e200) == 0.0
+    assert simulate(dist, 1e200, trials=10, seed=1).bound == 0.0
+
+
 def test_fig3_validation():
     with pytest.raises(DomainError):
         fig3_table([1], range(10, 12), 0.0)
