@@ -13,6 +13,7 @@ DomainError.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -48,11 +49,18 @@ def _pull_finite(egen: ExtendedGenerator, level: int, what: str, x: float) -> fl
     return egen.iterate(x, -level)
 
 
+def _check_base(base: float | complex, what: str, level: int | None = None) -> None:
+    """The one place where a non-finite base-level result, real or complex,
+    becomes a DomainError: the level arithmetic pushes only what passes here,
+    the pair arithmetic maps back only what passes here, and so do the LLN bounds."""
+    if not cmath.isfinite(base):  # a push or an inverse map would turn inf into NaN
+        at = "" if level is None else f" at level {level}"
+        raise DomainError(f"{what}{at}: base-level result {base!r} is not finite")
+
+
 def _push_finite(egen: ExtendedGenerator, level: int, what: str, base: float) -> float:
-    """g^level(base); the one place where a non-finite base-level result
-    becomes a DomainError."""
-    if not math.isfinite(base):  # the push would turn inf into NaN
-        raise DomainError(f"{what} at level {level}: base-level result {base!r} is not finite")
+    """g^level(base) of a base-level result that passes _check_base."""
+    _check_base(base, what, level)
     return egen.iterate(base, level)
 
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .arithmetic import _check_base
 from .calculus import integrate_base
 from .errors import DomainError
 from .generator import ExtendedGenerator, sine_extended
@@ -75,20 +76,20 @@ class GComplex:
     x2: float
 
 
-def _check_finite(what: str, a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"{what} component ({a!r}, {b!r}) is not finite")
+def _check_native(u: GComplex) -> None:
+    if not (math.isfinite(u.x1) and math.isfinite(u.x2)):
+        raise DomainError(f"native component ({u.x1!r}, {u.x2!r}) is not finite")
 
 
 def to_base(pa: PairArithmetic, u: GComplex) -> complex:
     """The ordinary complex number f1(x1) + i f2(x2) behind a finite u."""
-    _check_finite("native", u.x1, u.x2)
+    _check_native(u)
     return complex(pa.f1.forward(u.x1), pa.f2.forward(u.x2))
 
 
 def from_base(pa: PairArithmetic, z: complex) -> GComplex:
     """Map a complex number back to native components; a non-finite part is a DomainError."""
-    _check_finite("base", z.real, z.imag)
+    _check_base(z, "pair arithmetic")
     return GComplex(pa.f1.inverse(z.real), pa.f2.inverse(z.imag))
 
 
@@ -130,7 +131,7 @@ def gc_neg(pa: PairArithmetic, u: GComplex) -> GComplex:
 
 def gc_conj(pa: PairArithmetic, u: GComplex) -> GComplex:
     """Conjugation: the X2 component flips through its own arithmetic."""
-    _check_finite("native", u.x1, u.x2)
+    _check_native(u)
     return GComplex(u.x1, pa.f2.inverse(-pa.f2.forward(u.x2)))
 
 
@@ -158,8 +159,8 @@ def gc_power(pa: PairArithmetic, u: GComplex, n: int) -> GComplex:
         raise DomainError("power exponent must be a positive integer")
     try:
         z = to_base(pa, u) ** n
-    except OverflowError:  # complex ** int raises above n = 100 where * gives inf
-        z = complex(math.inf, math.inf)
+    except OverflowError as exc:  # complex ** int raises above n = 100 where * gives inf
+        raise DomainError(f"power {n} of the base value overflows") from exc
     return from_base(pa, z)
 
 

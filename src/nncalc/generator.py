@@ -423,7 +423,7 @@ def generator_from_config(config) -> Generator:
     if unknown:
         raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
     name = config.get("name")
-    if name in ("sine", "identity"):  # not `in _BUILTINS`: a JSON list as name is unhashable
+    if isinstance(name, str) and name in _BUILTINS:  # a JSON list as name is unhashable
         return _BUILTINS[name]
     if name != "convex":
         raise ConfigError(f"unknown generator name: {name!r}")
@@ -440,8 +440,8 @@ def generator_from_config(config) -> Generator:
 
 def load_generator(spec: str) -> Generator:
     """Resolve a CLI-style generator argument: a builtin name or a JSON file path."""
-    if spec in ("sine", "identity"):
-        return generator_from_config(spec)
+    if spec in _BUILTINS:
+        return _BUILTINS[spec]
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             config = json.load(fh)

@@ -16,13 +16,12 @@ collapses before the classical Bernoulli argument applies.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arithmetic import _inf_on_overflow
+from .arithmetic import _check_base
 from .errors import ApplicabilityError, DomainError
 from .generator import ExtendedGenerator, eval_iterate, sine_extended
 
@@ -95,10 +94,14 @@ def _check_eps(eps: float) -> None:
 
 def _deviation_bound(num: float, N: float, eps: float) -> float:
     """num / (N eps^2), the base-level Chebyshev ratio; DomainError unless it is finite."""
-    den = N * _inf_on_overflow(operator.pow, eps, 2)  # eps^2 is 0 below about 1e-162
-    if den == 0.0 or not math.isfinite(num / den):
-        raise DomainError(f"deviation bound {num!r} / ({N!r} * {eps!r}**2) is not finite")
-    return num / den
+    try:
+        ratio = num / (N * eps ** 2)
+    except ZeroDivisionError:  # eps^2 is 0 below about 1e-162
+        ratio = math.inf
+    except OverflowError:  # float ** int raises above about 1e154, where the ratio is 0
+        ratio = 0.0
+    _check_base(ratio, f"deviation bound at eps = {eps!r}")
+    return ratio
 
 
 def chebyshev_bound(dist: LevelBinomial, eps: float) -> float:

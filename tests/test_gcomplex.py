@@ -46,13 +46,13 @@ def test_non_finite_components_raise(pair):
     # a product that overflows is rejected before the inverse map turns it into NaN
     pa = PairArithmetic.default_sine() if pair == "sine" else PairArithmetic.identity()
     big = GComplex(1e200, 1e200)
-    with pytest.raises(DomainError, match="base component"):
+    with pytest.raises(DomainError, match="base-level result"):
         gc_mul(pa, big, big)
-    with pytest.raises(DomainError, match="base component"):
+    with pytest.raises(DomainError, match="base-level result"):
         gc_add(pa, GComplex(1e308, 0.0), GComplex(1e308, 0.0))
-    with pytest.raises(DomainError, match="base component"):
+    with pytest.raises(DomainError, match="overflows"):
         gc_power(pa, GComplex(2.0, 0.0), 2000)  # complex ** int raises OverflowError here
-    with pytest.raises(DomainError, match="base component"):
+    with pytest.raises(DomainError, match="base-level result"):
         from_base(pa, complex(0.0, math.nan))
     for u in (GComplex(math.nan, 0.0), GComplex(0.5, math.inf), GComplex(-math.inf, 0.5)):
         with pytest.raises(DomainError, match="native component"):
