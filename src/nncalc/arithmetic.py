@@ -50,9 +50,8 @@ def _pull_finite(egen: ExtendedGenerator, level: int, what: str, x: float) -> fl
 
 
 def _check_base(base: float | complex, what: str, level: int | None = None) -> None:
-    """The one place where a non-finite base-level result, real or complex,
-    becomes a DomainError: the level arithmetic pushes only what passes here,
-    the pair arithmetic maps back only what passes here, and so do the LLN bounds."""
+    """The one place where a non-finite base-level result, real or complex, becomes
+    a DomainError; the level and pair arithmetics and the LLN bounds call it."""
     if not cmath.isfinite(base):  # a push or an inverse map would turn inf into NaN
         at = "" if level is None else f" at level {level}"
         raise DomainError(f"{what}{at}: base-level result {base!r} is not finite")

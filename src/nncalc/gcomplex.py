@@ -158,10 +158,9 @@ def gc_power(pa: PairArithmetic, u: GComplex, n: int) -> GComplex:
     if n < 1:
         raise DomainError("power exponent must be a positive integer")
     try:
-        z = to_base(pa, u) ** n
+        return from_base(pa, to_base(pa, u) ** n)
     except OverflowError as exc:  # complex ** int raises above n = 100 where * gives inf
         raise DomainError(f"power {n} of the base value overflows") from exc
-    return from_base(pa, z)
 
 
 @dataclass(frozen=True)

@@ -87,20 +87,18 @@ def moments(dist: LevelBinomial) -> tuple[float, float]:
     return mean, var
 
 
-def _check_eps(eps: float) -> None:
+def _deviation_bound(num: float, N: float, eps: float) -> float:
+    """num / (N eps^2), the base-level Chebyshev ratio; DomainError unless eps is
+    positive and finite and so is the ratio."""
     if not (math.isfinite(eps) and eps > 0.0):  # a NaN fails too
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
-
-
-def _deviation_bound(num: float, N: float, eps: float) -> float:
-    """num / (N eps^2), the base-level Chebyshev ratio; DomainError unless it is finite."""
     try:
         ratio = num / (N * eps ** 2)
     except ZeroDivisionError:  # eps^2 is 0 below about 1e-162
         ratio = math.inf
     except OverflowError:  # float ** int raises above about 1e154, where the ratio is 0
         ratio = 0.0
-    _check_base(ratio, f"deviation bound at eps = {eps!r}")
+    _check_base(ratio, "deviation bound num / (N eps^2)")
     return ratio
 
 
@@ -110,7 +108,6 @@ def chebyshev_bound(dist: LevelBinomial, eps: float) -> float:
     Valid only when N >= p_eff q_eff / eps^2 (otherwise the bound exceeds 1);
     violating that raises ApplicabilityError naming the minimal N.
     """
-    _check_eps(eps)
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
     min_n = _deviation_bound(p_eff * q_eff, 1, eps)
@@ -140,7 +137,6 @@ def simulate(dist: LevelBinomial, eps: float, trials: int, seed: int) -> Simulat
     """
     if trials < 1:
         raise DomainError("trials must be a positive integer")
-    _check_eps(eps)
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
     bound = _deviation_bound(p_eff * q_eff, dist.N, eps)
@@ -159,7 +155,6 @@ def fig3_table(l_values: Iterable[int], n_range: Sequence[int], eps: float,
     depends on k only through l.  Rows are strictly decreasing in N for
     fixed l because g^l is strictly increasing.
     """
-    _check_eps(eps)
     rows = []
     for l in l_values:
         for N in n_range:

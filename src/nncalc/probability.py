@@ -102,17 +102,12 @@ class CondTree:
         def walk(node: CondNode) -> int | None:
             if node.children is None:
                 return 1
-            d0 = walk(node.children[0])
-            d1 = walk(node.children[1])
-            if d0 is None or d1 is None or d0 != d1:
-                return None
-            return d0 + 1
+            d0, d1 = (walk(child) for child in node.children)
+            return d0 + 1 if d0 is not None and d0 == d1 else None
         return walk(self.root)
 
     def leaf_paths(self) -> Iterable[str]:
-        d = self.depth()
-        for bits in itertools.product("01", repeat=d):
-            yield "".join(bits)
+        return ("".join(bits) for bits in itertools.product("01", repeat=self.depth()))
 
 
 def make_node(obj: dict) -> CondNode:
