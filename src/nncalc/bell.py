@@ -27,6 +27,7 @@ from .errors import DomainError
 from .generator import ExtendedGenerator, sine_extended
 
 TWO_PI = 2.0 * math.pi
+_MIN_STEP = 1e-10  # refine_ch0_max stops once its coordinate step is this small
 
 
 def reduced_angle(delta):
@@ -288,13 +289,12 @@ def ch_scan(resolution: float, egen: ExtendedGenerator = sine_extended()) -> ChS
                         tsirelson_check=ok)
 
 
-def refine_ch0_max(start: AngleQuad, initial_step: float,
-                   min_step: float = 1e-10) -> tuple[AngleQuad, float]:
+def refine_ch0_max(start: AngleQuad, initial_step: float) -> tuple[AngleQuad, float]:
     """Deterministic coordinate descent sharpening a level-0 grid maximum."""
     angles = list(AngleQuad(*start))
     value = ch_value_level0(AngleQuad(*angles))
     step = initial_step
-    while step > min_step:
+    while step > _MIN_STEP:
         improved = True
         while improved:
             improved = False

@@ -98,15 +98,14 @@ def nn_derivative(fn: LevelFunction, x: float, step: float | None = None) -> flo
     return _push_finite(fn.egen, fn.target_level, "nn_derivative", (4.0 * d2 - d1) / 3.0)
 
 
-def _adaptive_simpson(f: Callable, a: float, b: float, tol: float,
-                      max_evals: int = _MAX_EVALS):
+def _adaptive_simpson(f: Callable, a: float, b: float, tol: float):
     """Adaptive Simpson on [a, b]; returns (value, err, converged).
 
-    Subdivision stops at depth ``_MAX_DEPTH`` or once ``max_evals`` base
+    Subdivision stops at depth ``_MAX_DEPTH`` or once ``_MAX_EVALS`` base
     evaluations have been spent; either cap marks the result unconverged
     when the local error is still above tolerance.
     """
-    budget = [max_evals]
+    budget = [_MAX_EVALS]
 
     def recurse(a, m, b, fa, fm, fb, whole, tol, depth):
         lm = 0.5 * (a + m)

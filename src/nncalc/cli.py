@@ -2,6 +2,8 @@
 
 Every command is a thin wrapper over the library modules; output is data,
 never rendered plots, and is byte-identical for identical (config, seed).
+Each command takes ``--out``; the six that evaluate g^k take ``--generator``,
+and only the stochastic ``lln-sim`` takes ``--seed``.
 Angles are radians unless suffixed with ``deg``.  Exit codes: 0 success,
 2 validation failure, 3 numeric failure.
 """
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import bell, entropy, fubini, lln, probability
 from .arithmetic import ArithmeticContext, arith
-from .errors import NncalcError, QuadratureError
+from .errors import ConfigError, NncalcError, QuadratureError
 from .generator import ExtendedGenerator, eval_iterate, load_generator
 
 _FLOAT_FMT = "%.17g"
@@ -74,15 +76,7 @@ def _json_text(obj) -> str:
 
 
 def _egen(args) -> ExtendedGenerator:
-    spec = getattr(args, "generator", None) or "sine"
-    return ExtendedGenerator(load_generator(spec))
-
-
-def _require_sine(args, command: str) -> None:
-    """Closed-form commands are specific to the sine bijection."""
-    spec = getattr(args, "generator", None) or "sine"
-    if load_generator(spec).name != "sine":
-        raise NncalcError(f"{command} uses sine closed forms; --generator must be 'sine'")
+    return ExtendedGenerator(load_generator(args.generator))
 
 
 def _cmd_iterate(args) -> str:
@@ -99,7 +93,6 @@ def _cmd_iterate(args) -> str:
 def _cmd_alpha_theta(args) -> str:
     if args.grid < 2:
         raise NncalcError("grid must have at least 2 points")
-    _require_sine(args, "alpha-theta")
     thetas = np.linspace(0.0, math.pi, args.grid)
     alphas = probability.alpha_of_theta(thetas)
     return _csv(["theta", "alpha"],
@@ -127,7 +120,6 @@ def _cmd_lln_sim(args) -> str:
 
 
 def _cmd_singlet(args) -> str:
-    _require_sine(args, "singlet")
     table = probability.singlet_table(args.theta)
     rows = [[a, b, float(table[a][b])] for a in (0, 1) for b in (0, 1)]
     return _csv(["a", "b", "p"], rows)
@@ -144,16 +136,16 @@ def _cmd_entropy(args) -> str:
 
 
 def _load_state(path: str):
+    """A state: a list of numbers or [re, im] pairs, bare or as ``{"components": [...]}``."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    comps = obj["components"] if isinstance(obj, dict) else obj
-    vec = []
-    for c in comps:
-        if isinstance(c, (int, float)):
-            vec.append(complex(c, 0.0))
-        else:
-            vec.append(complex(float(c[0]), float(c[1])))
-    return np.asarray(vec, dtype=complex)
+    comps = obj.get("components") if isinstance(obj, dict) else obj
+    if not isinstance(comps, list):
+        raise ConfigError(f"state file {path!r} holds no list of components")
+    pairs = [c if isinstance(c, list) else [c, 0.0] for c in comps]
+    if not all(len(c) == 2 and all(isinstance(v, (int, float)) for v in c) for c in pairs):
+        raise ConfigError(f"state file {path!r}: a component is not a number or [re, im] pair")
+    return np.asarray([complex(re, im) for re, im in pairs], dtype=complex)
 
 
 def _cmd_fubini(args) -> str:
@@ -184,21 +176,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the associated probability experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, generator=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="RNG seed; only stochastic commands consume it")
-        p.add_argument("--generator", default="sine",
-                       help="builtin name or JSON config path")
+        if generator:
+            p.add_argument("--generator", default="sine", help="builtin name or JSON config path")
         return p
 
     p = add("iterate", _cmd_iterate, "columns p, g^k(p) on a uniform grid")
     p.add_argument("--levels", type=_parse_levels, required=True)
     p.add_argument("--grid", type=int, default=1001)
 
-    p = add("alpha-theta", _cmd_alpha_theta, "the angle map between two hierarchy levels")
+    p = add("alpha-theta", _cmd_alpha_theta, "the angle map between two hierarchy levels",
+            generator=False)
     p.add_argument("--grid", type=int, default=1001)
 
     p = add("bell-scan", _cmd_bell_scan, "grid extrema of both Clauser-Horne values")
@@ -217,11 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
-    p = add("singlet", _cmd_singlet, "the 2x2 joint probability table at angle theta")
+    p = add("singlet", _cmd_singlet, "the 2x2 joint probability table at angle theta",
+            generator=False)
     p.add_argument("--theta", type=_parse_angle, required=True)
 
-    p = add("entropy", _cmd_entropy, "Renyi entropy of a finite distribution")
+    p = add("entropy", _cmd_entropy, "Renyi entropy of a finite distribution", generator=False)
     p.add_argument("--probs", type=_parse_probs, required=True)
     p.add_argument("--alpha", type=float, required=True)
 
@@ -238,15 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: parse_args leaves the parser as it found it, so one instance serves every run()
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = args.fn(args)
     except QuadratureError as exc:
         print(f"nncalc: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (NncalcError, ValueError, OSError, KeyError, IndexError) as exc:
+    except (NncalcError, ValueError, OSError) as exc:
         print(f"nncalc: {exc}", file=sys.stderr)
         return 2
     _write(args.out, text)

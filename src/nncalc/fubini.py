@@ -33,9 +33,11 @@ HALF_PI = 0.5 * math.pi
 
 
 def geodesic_distance(a, b) -> float:
-    """Geodesic angle arccos(|<a|b>|/(|a| |b|)) between two nonzero vectors."""
+    """Geodesic angle arccos(|<a|b>|/(|a| |b|)) between two nonzero finite vectors."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("geodesic distance: a component is not finite")
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:

@@ -31,6 +31,8 @@ _SCALAR_TYPES = (float, int, np.floating)
 #: elements per block of the array path: 128 KiB of float64, so a block and
 #: the few temporaries of one step stay in the per-core cache
 _BLOCK = 1 << 14
+_BISECT_ROUNDS = 47  # bisection rounds; they leave brackets of [0,1] 2**-47 < 1e-14 wide
+_BAND_GRID = 1001  # points of the uniform grid of [0,1] that effective_band scans
 
 
 def _is_finite_scalar(x) -> bool:
@@ -150,18 +152,16 @@ def make_identity_generator() -> Generator:
     return Generator("identity", identity, identity)
 
 
-def _bisect_increasing(fn: Callable, y, tol: float = 1e-14, max_iter: int = 200):
+def _bisect_increasing(fn: Callable, y):
     """Solve fn(x) = y for increasing fn on [0,1], vectorized bisection."""
     y = np.asarray(y, dtype=float)
     lo = np.zeros_like(y)
     hi = np.ones_like(y)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_ROUNDS):
         mid = 0.5 * (lo + hi)
         below = np.asarray(fn(mid)) <= y
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= tol):  # also true on an empty array
-            break
     x = 0.5 * (lo + hi)
     # the endpoints are known exactly for any bijection of this class
     x = np.where(y == 0.0, 0.0, x)
@@ -174,8 +174,8 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
 
     The combination of odd parts stays odd, so the complement symmetry is
     inherited.  No closed-form inverse exists in general; the inverse is
-    computed by bisection (tolerance 1e-14, at most 200 halvings), which
-    monotonicity guarantees to converge.
+    computed by bisection, which monotonicity guarantees to converge: each
+    of the ``_BISECT_ROUNDS`` rounds halves every bracket exactly.
     """
     gens = list(gens)
     weights = [float(w) for w in weights]
@@ -231,7 +231,7 @@ def validate_generator(gen: Generator, grid_points: int = 10_000, tol: float = 1
 def h_view(gen: Generator, x):
     """The odd part h(x) = g(x + 1/2) - 1/2 on [-1/2, 1/2]."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -0.5) or np.any(arr > 0.5):
+    if arr.size and not (arr.min() >= -0.5 and arr.max() <= 0.5):  # a NaN fails
         raise DomainError("h_view argument must lie in [-1/2, 1/2]")
     out = np.asarray(gen.forward(arr + 0.5)) - 0.5
     return float(out) if out.ndim == 0 else out
@@ -374,7 +374,7 @@ class BandReport:
 
 
 def effective_band(egen: ExtendedGenerator, resolution: float,
-                   k_cap: int = LEVEL_CAP, grid_points: int = 1001) -> BandReport:
+                   k_cap: int = LEVEL_CAP) -> BandReport:
     """Smallest band outside which successive iterates are indistinguishable.
 
     ``k_max`` is the smallest k >= 0 such that max_p |g^{k+1}(p) - g^k(p)|
@@ -385,7 +385,7 @@ def effective_band(egen: ExtendedGenerator, resolution: float,
     """
     if not (0.0 < resolution < 1.0):
         raise DomainError("resolution must lie strictly between 0 and 1")
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, _BAND_GRID)
     saturated = False
 
     def scan(step_fn) -> int:
@@ -427,11 +427,13 @@ def generator_from_config(config) -> Generator:
         return _BUILTINS[name]
     if name != "convex":
         raise ConfigError(f"unknown generator name: {name!r}")
-    if "components" not in config or "weights" not in config:
-        raise ConfigError("convex generator config needs 'components' and 'weights'")
-    comps = [generator_from_config(c) for c in config["components"]]
+    comps, weights = config.get("components"), config.get("weights")
+    if not (isinstance(comps, list) and isinstance(weights, list)
+            and all(isinstance(w, (int, float)) for w in weights)):
+        raise ConfigError("a convex config needs a list 'components' and numeric list 'weights'")
+    comps = [generator_from_config(c) for c in comps]
     try:
-        gen = convex_combine(comps, config["weights"])
+        gen = convex_combine(comps, weights)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     validate_generator(gen)

@@ -203,7 +203,7 @@ def alpha_of_theta(theta):
     on [0, pi] with fixed points 0, pi/2 and pi.
     """
     arr = np.asarray(theta, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > math.pi):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= math.pi):  # a NaN fails
         raise DomainError("theta must lie in [0, pi]")
     out = 2.0 * np.arcsin(np.sqrt((2.0 / np.pi) * np.arcsin(np.sqrt(arr / np.pi))))
     return float(out) if out.ndim == 0 else out

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nncalc.cli import run
+from nncalc.cli import build_parser, run
 
 
 def run_to_file(tmp_path, args, name="out.txt"):
@@ -161,15 +162,30 @@ def test_validation_exit_codes(tmp_path, capsys):
     # missing file
     assert run(["fubini", "--state-a", "/nonexistent.json",
                 "--state-b", "/nonexistent.json"]) == 2
+    # convex configs whose components or weights are not lists of the right kind
+    for comps, weights in ((5, [1]), (["sine"], ["x"])):
+        cfg.write_text(json.dumps({"name": "convex", "components": comps, "weights": weights}))
+        assert run(["iterate", "--levels", "1", "--generator", str(cfg)]) == 2
+    # state files that are not lists of numbers or [re, im] pairs, or hold a NaN
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"components": [[1.0, 0.0], [0.0, 0.0]]}))
+    state = tmp_path / "state.json"
+    for bad in ('{"components": 5}', '{"components": [null, [1, 0]]}', '{"states": [1, 0]}',
+                '[[1, 0, 0], [0, 1]]', '{"components": [NaN, 1]}'):
+        state.write_text(bad)
+        assert run(["fubini", "--state-a", str(state), "--state-b", str(good)]) == 2
+        assert "nncalc: " in capsys.readouterr().err
     # distribution that does not normalize
     assert run(["entropy", "--probs", "0.5,0.6", "--alpha", "2"]) == 2
     # bad resolution
     assert run(["bell-scan", "--resolution", "0"]) == 2
     assert run(["bell-scan", "--resolution", "nan"]) == 2
     assert run(["bell-scan", "--resolution", "inf"]) == 2
-    # closed-form commands only make sense for the sine bijection
-    assert run(["singlet", "--theta", "1.0", "--generator", "identity"]) == 2
-    assert run(["alpha-theta", "--grid", "5", "--generator", "identity"]) == 2
+    # closed-form commands only make sense for the sine bijection, so take no generator
+    for args in (["singlet", "--theta", "1.0"], ["alpha-theta", "--grid", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--generator", "identity"])
+        assert exc.value.code == 2
     # a base-level product that overflows
     assert run(["arith", "--level", "1", "--op", "mul", "1e200", "1e200"]) == 2
     # an eps whose square underflows, or that is NaN, leaves the bound undefined
@@ -187,6 +203,28 @@ def test_argparse_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["arith", "--level", "1", "--op", "cube", "1", "2"])
     assert exc.value.code == 2
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    """--out everywhere, --generator where g^k is evaluated, --seed where random numbers are drawn."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"--out", "--generator", "--seed"}
+    flags = {name: common & {s for a in p._actions for s in a.option_strings}
+             for name, p in sub.choices.items()}
+    out, gen = {"--out"}, {"--out", "--generator"}
+    assert flags == {
+        "iterate": gen, "bell-scan": gen, "lln": gen, "fubini": gen, "arith": gen,
+        "lln-sim": gen | {"--seed"},
+        "alpha-theta": out, "singlet": out, "entropy": out,
+    }
+
+
+def test_parse_error_exits_2_and_run_still_works(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["singlet", "--theta", "1.0", "--seed", "1"])
+    assert exc.value.code == 2
+    code, data = run_to_file(tmp_path, ["singlet", "--theta", "90deg"])
+    assert code == 0 and data.decode().splitlines()[0] == "a,b,p"
 
 
 def test_numeric_failure_exit_code(capsys):

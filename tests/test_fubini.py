@@ -42,6 +42,14 @@ def test_geodesic_zero_vector():
         geodesic_distance(np.zeros(2, dtype=complex), np.array([1.0, 0.0]))
 
 
+def test_geodesic_non_finite():
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(DomainError):
+            geodesic_distance(np.array([bad, 1.0]), np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            geodesic_distance(np.array([1.0, 0.0]), np.array([1.0, bad]))
+
+
 def test_hidden_prob_examples():
     assert hidden_prob(0.0) == 1.0
     assert hidden_prob(0.5 * math.pi) == 0.0

@@ -77,6 +77,10 @@ def test_h_view_values(sine_gen):
 def test_h_view_domain(sine_gen):
     with pytest.raises(DomainError):
         h_view(sine_gen, 0.6)
+    for bad in (math.nan, np.array([0.1, math.nan])):
+        with pytest.raises(DomainError):
+            h_view(sine_gen, bad)
+    assert h_view(sine_gen, np.array([])).shape == (0,)
 
 
 def test_eval_iterate_identity_and_fixed_point(sine_eg):
@@ -299,6 +303,11 @@ def test_generator_config_rejects_unknown_keys():
         generator_from_config({"name": "convex", "components": ["sine"], "weights": [0.5]})
     with pytest.raises(ConfigError):
         generator_from_config(42)
+    # components and weights must be lists, the weights of numbers
+    for comps, weights in ((5, [1]), ("sine", [1]), (["sine"], 1), (["sine"], ["x"]),
+                           (["sine"], [None])):
+        with pytest.raises(ConfigError):
+            generator_from_config({"name": "convex", "components": comps, "weights": weights})
 
 
 def test_builtins_are_shared_and_only_configs_are_validated(monkeypatch, tmp_path):

@@ -314,3 +314,7 @@ def test_alpha_domain():
         alpha_of_theta(-0.2)
     with pytest.raises(DomainError):
         alpha_of_theta(3.3)
+    for bad in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(DomainError):
+            alpha_of_theta(bad)
+    assert alpha_of_theta(np.array([])).shape == (0,)
