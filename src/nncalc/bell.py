@@ -1,10 +1,10 @@
 """Circle hidden-variable model and Clauser-Horne combinations at two levels.
 
 Outcomes are modelled by half-circle characteristic functions against the
-uniform density on the circle.  Overlap integrals of such indicators are
-piecewise constant, so they are computed by exact arc intersection (sorted
-endpoint splitting) rather than generic quadrature; the quadrature route is
-kept for cross-checks only.
+uniform density on the circle.  Two half circles whose centres are a reduced
+angle d apart overlap in an arc of length pi - d, so every overlap integral
+is the closed form (pi - d) / (2 pi) of ``hidden_overlap``; the quadrature
+route is kept for cross-checks only.
 
 Joint singlet probabilities arise by lifting the overlap through
 G(x) = g(2x)/2, which fixes 0, 1/4 and 1/2.  The Clauser-Horne four-term
@@ -37,38 +37,16 @@ def reduced_angle(delta):
     return float(out) if out.ndim == 0 else out
 
 
-def _arc_segments(lo: float, length: float):
-    """An arc [lo, lo+length] as subintervals of [0, 2 pi)."""
-    start = lo % TWO_PI
-    end = start + length
-    if end <= TWO_PI:
-        return [(start, end)]
-    return [(start, TWO_PI), (0.0, end - TWO_PI)]
-
-
-def _intersection_measure(segs1, segs2) -> float:
-    total = 0.0
-    for s1, e1 in segs1:
-        for s2, e2 in segs2:
-            total += max(0.0, min(e1, e2) - max(s1, s2))
-    return total
-
-
 @dataclass(frozen=True)
 class HalfCircleChar:
     """Indicator of the half circle [phi - pi/2, phi + pi/2] modulo 2 pi."""
 
     phi: float
 
-    def segments(self):
-        return _arc_segments(self.phi - 0.5 * math.pi, math.pi)
-
     def breakpoints(self):
-        """Arc endpoints inside [0, 2 pi), for quadrature splitting."""
-        pts = []
-        for s, e in self.segments():
-            pts.extend((s, e))
-        return tuple(sorted(set(pts)))
+        """The two arc endpoints modulo 2 pi, for quadrature splitting."""
+        return tuple(sorted(((self.phi - 0.5 * math.pi) % TWO_PI,
+                             (self.phi + 0.5 * math.pi) % TWO_PI)))
 
     def indicator(self, lam):
         """1 on the supporting half circle, 0 elsewhere (vectorized)."""
@@ -77,22 +55,18 @@ class HalfCircleChar:
         return float(out) if out.ndim == 0 else out
 
 
-def overlap_integral(alpha: float, beta: float) -> float:
-    """int chi_alpha chi_{beta+pi} rho dlambda against the uniform density.
-
-    Exact arc intersection; equals |alpha - beta|/(2 pi) for reduced
-    separations up to pi.
-    """
-    segs_a = HalfCircleChar(alpha).segments()
-    segs_b = HalfCircleChar(beta + math.pi).segments()
-    return _intersection_measure(segs_a, segs_b) / TWO_PI
-
-
 def hidden_overlap(a1: float, a2: float) -> float:
-    """int chi_{a1} chi_{a2} rho dlambda (no antipodal shift), exact."""
-    segs_1 = HalfCircleChar(a1).segments()
-    segs_2 = HalfCircleChar(a2).segments()
-    return _intersection_measure(segs_1, segs_2) / TWO_PI
+    """int chi_{a1} chi_{a2} rho dlambda (no antipodal shift): (pi - d) / (2 pi)
+    for the reduced separation d; a non-finite angle is a DomainError."""
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        raise DomainError(f"angles must be finite, got ({a1!r}, {a2!r})")
+    return (math.pi - reduced_angle(a1 - a2)) / TWO_PI
+
+
+def overlap_integral(alpha: float, beta: float) -> float:
+    """int chi_alpha chi_{beta+pi} rho dlambda against the uniform density:
+    |alpha - beta| / (2 pi) for reduced separations up to pi."""
+    return hidden_overlap(alpha, beta + math.pi)
 
 
 @dataclass(frozen=True)
@@ -106,13 +80,12 @@ class ConditionedDensity:
         return ind / math.pi if np.ndim(ind) == 0 else np.asarray(ind) / math.pi
 
     def total(self) -> float:
-        """Integral over the full circle (exact arc measure)."""
-        return _intersection_measure(self.condition.segments(),
-                                     [(0.0, TWO_PI)]) / math.pi
+        """Integral over the full circle: the half circle's own overlap over pi."""
+        return 2.0 * hidden_overlap(self.condition.phi, self.condition.phi)
 
     def integral_against(self, chi: HalfCircleChar) -> float:
         """int chi * density dlambda, exact; a conditional probability."""
-        return _intersection_measure(self.condition.segments(), chi.segments()) / math.pi
+        return 2.0 * hidden_overlap(self.condition.phi, chi.phi)
 
 
 def condition_density_level0(chi: HalfCircleChar) -> ConditionedDensity:

@@ -17,6 +17,7 @@ that is not finite, raises DomainError.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -133,8 +134,9 @@ def _adaptive_simpson(f: Callable, a: float, b: float, tol: float):
 
 
 def integrate_base(f: Callable, a: float, b: float, tol: float = 1e-10,
-                   breakpoints=()) -> float:
-    """Ordinary adaptive-Simpson integral of a base function, split at breakpoints."""
+                   breakpoints=()) -> float | complex:
+    """Ordinary adaptive-Simpson integral of a real or complex base function, split at
+    breakpoints; for a complex one the error estimates are moduli."""
     if b < a:
         return -integrate_base(f, b, a, tol, breakpoints)
     cuts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
@@ -147,7 +149,7 @@ def integrate_base(f: Callable, a: float, b: float, tol: float = 1e-10,
         total += v
         err += e
         ok = ok and conv
-    if not math.isfinite(total):
+    if not cmath.isfinite(total):
         raise QuadratureError("quadrature produced a non-finite value", estimate=total)
     if not ok and err > tol:
         raise QuadratureError(

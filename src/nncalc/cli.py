@@ -145,7 +145,10 @@ def _load_state(path: str):
     pairs = [c if isinstance(c, list) else [c, 0.0] for c in comps]
     if not all(len(c) == 2 and all(isinstance(v, (int, float)) for v in c) for c in pairs):
         raise ConfigError(f"state file {path!r}: a component is not a number or [re, im] pair")
-    return np.asarray([complex(re, im) for re, im in pairs], dtype=complex)
+    try:
+        return np.asarray([complex(re, im) for re, im in pairs], dtype=complex)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ConfigError(f"state file {path!r}: a component is beyond the float range") from exc
 
 
 def _cmd_fubini(args) -> str:

@@ -32,12 +32,23 @@ from .generator import ExtendedGenerator, eval_iterate, sine_extended
 HALF_PI = 0.5 * math.pi
 
 
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that brings its largest |re| or |im| into [0.5, 1).
+
+    The scaling is exact, so the angle is unchanged, but the norms no longer
+    overflow for huge finite components.
+    """
+    parts = v.view(float)  # re, im interleaved
+    return np.ldexp(parts, -math.frexp(float(np.abs(parts).max(initial=0.0)))[1]).view(complex)
+
+
 def geodesic_distance(a, b) -> float:
     """Geodesic angle arccos(|<a|b>|/(|a| |b|)) between two nonzero finite vectors."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = np.ascontiguousarray(a, dtype=complex)
+    b = np.ascontiguousarray(b, dtype=complex)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DomainError("geodesic distance: a component is not finite")
+    a, b = _unit_scaled(a), _unit_scaled(b)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:

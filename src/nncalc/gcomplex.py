@@ -197,21 +197,15 @@ def gc_scalar_product(A: ComplexLevelFunction, B: ComplexLevelFunction,
                       T: float, tol: float = 1e-10) -> GComplex:
     """Inner product of two complex-valued level functions over [-T/2, T/2] in X.
 
-    Integrates conj(A~) B~ over the pulled-back interval [-f_X(T)/2,
-    f_X(T)/2] and maps the complex result back through the target pair.
+    Integrates conj(A~) B~ as one complex function over the pulled-back
+    interval [-f_X(T)/2, f_X(T)/2], so each base runs once per quadrature
+    point, and maps the result back through the target pair.
     Both functions must be expressed over the same arithmetics; the result
     uses A's handles.  Conjugate symmetry and homogeneity in the second
     slot follow from the base representation.
     """
     half = A.domain.forward(T) / 2.0
     fa, fb = A.base, B.base
-
-    def integrand_re(r: float) -> float:
-        return (complex(fa(r)).conjugate() * complex(fb(r))).real
-
-    def integrand_im(r: float) -> float:
-        return (complex(fa(r)).conjugate() * complex(fb(r))).imag
-
-    re = integrate_base(integrand_re, -half, half, tol=tol)
-    im = integrate_base(integrand_im, -half, half, tol=tol)
-    return from_base(A.target, complex(re, im))
+    z = integrate_base(lambda r: complex(fa(r)).conjugate() * complex(fb(r)),
+                       -half, half, tol=tol)
+    return from_base(A.target, complex(z))

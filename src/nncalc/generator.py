@@ -178,7 +178,10 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
     of the ``_BISECT_ROUNDS`` rounds halves every bracket exactly.
     """
     gens = list(gens)
-    weights = [float(w) for w in weights]
+    try:
+        weights = [float(w) for w in weights]
+    except OverflowError as exc:  # an int beyond the float range
+        raise DomainError("weights must lie in [0, 1]") from exc
     if not gens:
         raise DomainError("convex_combine requires at least one generator")
     if len(gens) != len(weights):

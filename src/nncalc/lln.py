@@ -102,20 +102,25 @@ def _deviation_bound(num: float, N: float, eps: float) -> float:
     return ratio
 
 
+def _level_bound(egen: ExtendedGenerator, l: int, pq: float, N: int, eps: float,
+                 min_n: float) -> float:
+    """g^l(pq / (N eps^2)) for N >= min_n = pq / eps^2; below it the bound
+    exceeds 1, which raises ApplicabilityError naming the minimal N."""
+    if N < min_n:
+        raise ApplicabilityError(
+            f"bound applies only for N >= {min_n:.6g} (got N={N})",
+            min_trials=math.ceil(min_n))
+    return eval_iterate(egen, l, _deviation_bound(pq, N, eps))
+
+
 def chebyshev_bound(dist: LevelBinomial, eps: float) -> float:
     """Level-l bound on the probability of an eps-deviation of the frequency.
 
     Valid only when N >= p_eff q_eff / eps^2 (otherwise the bound exceeds 1);
     violating that raises ApplicabilityError naming the minimal N.
     """
-    p_eff = dist.effective_p()
-    q_eff = dist.effective_q()
-    min_n = _deviation_bound(p_eff * q_eff, 1, eps)
-    if dist.N < min_n:
-        raise ApplicabilityError(
-            f"bound applies only for N >= {min_n:.6g} (got N={dist.N})",
-            min_trials=math.ceil(min_n))
-    return eval_iterate(dist.egen, dist.l, _deviation_bound(p_eff * q_eff, dist.N, eps))
+    pq = dist.effective_p() * dist.effective_q()
+    return _level_bound(dist.egen, dist.l, pq, dist.N, eps, _deviation_bound(pq, 1, eps))
 
 
 @dataclass(frozen=True)
@@ -153,13 +158,15 @@ def fig3_table(l_values: Iterable[int], n_range: Sequence[int], eps: float,
 
     For p = 1/2 the effective probability is 1/2 at every k, so the bound
     depends on k only through l.  Rows are strictly decreasing in N for
-    fixed l because g^l is strictly increasing.
+    fixed l because g^l is strictly increasing.  The bound is
+    ``chebyshev_bound``'s with pq = 1/4: an N below 1/(4 eps^2) raises
+    ApplicabilityError.
     """
+    min_n = _deviation_bound(0.25, 1, eps)
     rows = []
     for l in l_values:
         for N in n_range:
             if N < 1:
                 raise DomainError("trial counts must be positive")
-            bound = egen.iterate(_deviation_bound(1.0, 4.0 * N, eps), l)
-            rows.append((int(l), int(N), float(bound)))
+            rows.append((int(l), int(N), float(_level_bound(egen, l, 0.25, N, eps, min_n))))
     return rows

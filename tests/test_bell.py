@@ -44,10 +44,9 @@ def test_reduced_angle():
 
 
 def test_half_circle_measure():
+    # a half circle overlaps itself in its own measure pi, a fraction 1/2 of the circle
     for phi in (0.0, 0.7, 3.9, -2.5):
-        chi = HalfCircleChar(phi)
-        total = sum(e - s for s, e in chi.segments())
-        assert total == pytest.approx(math.pi, abs=1e-12)
+        assert hidden_overlap(phi, phi) == 0.5
 
 
 def test_half_circle_indicator():
@@ -63,6 +62,20 @@ def test_overlap_examples():
     assert overlap_integral(0.4, 0.4) == pytest.approx(0.0, abs=1e-15)
     assert overlap_integral(0.4 + math.pi, 0.4) == pytest.approx(0.5, abs=1e-12)
     assert overlap_integral(0.5 * math.pi, 0.0) == pytest.approx(0.25, abs=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_raises(bad):
+    # the closed form would turn a non-finite angle into NaN
+    for call in (hidden_overlap, overlap_integral, singlet_from_hidden):
+        for args in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(DomainError):
+                call(*args)
+    density = condition_density_level0(HalfCircleChar(bad))
+    with pytest.raises(DomainError):
+        density.integral_against(HalfCircleChar(0.0))
+    with pytest.raises(DomainError):
+        density.total()
 
 
 def test_overlap_symmetry(rng):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -21,6 +22,13 @@ EXP_LEVEL11_AT_03 = 1.4160512570781461740760716021963
 
 def lf(sine_eg, base, k=0, l=0, breakpoints=()):
     return LevelFunction(base, sine_eg, k, l, tuple(breakpoints))
+
+
+def test_integrate_base_complex_integrand():
+    # int_0^pi e^{ir} dr = (e^{i pi} - 1) / i = 2i
+    got = integrate_base(lambda r: cmath.exp(1j * r), 0.0, math.pi, tol=1e-12)
+    assert isinstance(got, complex)
+    assert got == pytest.approx(2j, abs=1e-11)
 
 
 def test_value_is_the_composed_pipeline(sine_eg):

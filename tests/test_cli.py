@@ -133,6 +133,18 @@ def test_fubini(tmp_path):
     assert report["ladder"] == pytest.approx([0.5] * 7, abs=1e-12)
 
 
+def test_fubini_huge_components(tmp_path):
+    # the norm of (1e200, 1e200) overflows unless the state is rescaled first
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps({"components": [[1e200, 0.0], [1e200, 0.0]]}))
+    code, data = run_to_file(tmp_path,
+                             ["fubini", "--state-a", str(state), "--state-b", str(state)])
+    assert code == 0
+    report = json.loads(data)
+    assert report["theta"] == 0.0
+    assert report["hidden_p"] == 1.0
+
+
 def test_arith_command(capsys):
     assert run(["arith", "--level", "1", "--op", "mul", "0.5", "0.5"]) == 0
     out = capsys.readouterr().out
@@ -163,7 +175,7 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run(["fubini", "--state-a", "/nonexistent.json",
                 "--state-b", "/nonexistent.json"]) == 2
     # convex configs whose components or weights are not lists of the right kind
-    for comps, weights in ((5, [1]), (["sine"], ["x"])):
+    for comps, weights in ((5, [1]), (["sine"], ["x"]), (["sine"], [10 ** 400])):
         cfg.write_text(json.dumps({"name": "convex", "components": comps, "weights": weights}))
         assert run(["iterate", "--levels", "1", "--generator", str(cfg)]) == 2
     # state files that are not lists of numbers or [re, im] pairs, or hold a NaN
@@ -171,7 +183,8 @@ def test_validation_exit_codes(tmp_path, capsys):
     good.write_text(json.dumps({"components": [[1.0, 0.0], [0.0, 0.0]]}))
     state = tmp_path / "state.json"
     for bad in ('{"components": 5}', '{"components": [null, [1, 0]]}', '{"states": [1, 0]}',
-                '[[1, 0, 0], [0, 1]]', '{"components": [NaN, 1]}'):
+                '[[1, 0, 0], [0, 1]]', '{"components": [NaN, 1]}',
+                '{"components": [%d, 0]}' % 10 ** 400, '{"components": [[0, %d]]}' % 10 ** 400):
         state.write_text(bad)
         assert run(["fubini", "--state-a", str(state), "--state-b", str(good)]) == 2
         assert "nncalc: " in capsys.readouterr().err
@@ -193,6 +206,9 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert run(["lln", "--levels", "1", "--eps", eps, "--n-min", "1", "--n-max", "1"]) == 2
         assert run(["lln-sim", "--N", "10", "--p", "0.5", "--eps", eps, "--trials", "10",
                     "--seed", "1"]) == 2
+    # a trial count below pq / eps^2 = 25, where the bound would exceed 1
+    assert run(["lln", "--levels", "1", "--eps", "0.1", "--n-min", "1", "--n-max", "30"]) == 2
+    assert "N >= 25" in capsys.readouterr().err
     # NaN fails the entropy guards
     assert run(["entropy", "--probs", "0.5,0.5", "--alpha", "nan"]) == 2
     assert run(["entropy", "--probs", "nan,0.5", "--alpha", "2"]) == 2

@@ -50,6 +50,16 @@ def test_geodesic_non_finite():
             geodesic_distance(np.array([1.0, 0.0]), np.array([1.0, bad]))
 
 
+def test_geodesic_huge_and_tiny_components():
+    # each vector is scaled by a power of two first, so its norm cannot overflow
+    assert geodesic_distance([1e200, 1e200], [1e200, 1e200]) == 0.0
+    a, b = np.array([3.0, 4.0j]), np.array([1.0, 2.0 + 1.0j])
+    d = geodesic_distance(a, b)
+    for e in (-1070, -600, 600, 1020):
+        assert geodesic_distance(a * 2.0 ** e, b) == d
+        assert geodesic_distance(a, b * 2.0 ** e) == d
+
+
 def test_hidden_prob_examples():
     assert hidden_prob(0.0) == 1.0
     assert hidden_prob(0.5 * math.pi) == 0.0

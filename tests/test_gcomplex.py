@@ -227,6 +227,26 @@ def test_scalar_product_orthogonal(pa_id):
     assert abs(got.x1) < 1e-9 and abs(got.x2) < 1e-9
 
 
+def test_scalar_product_evaluates_each_base_once_per_point(pa_id):
+    # one complex quadrature of conj(A~) B~, not one real quadrature per part
+    dom = identity_bijection()
+    seen_a, seen_b = [], []
+
+    def fa(r):
+        seen_a.append(r)
+        return cmath.exp(1j * r) * (1.0 + r * r)
+
+    def fb(r):
+        seen_b.append(r)
+        return complex(math.cos(3.0 * r), r)
+
+    A = ComplexLevelFunction(fa, dom, pa_id)
+    B = ComplexLevelFunction(fb, dom, pa_id)
+    gc_scalar_product(A, B, 2.0, tol=1e-12)
+    assert seen_a == seen_b
+    assert len(set(seen_a)) == len(seen_a)
+
+
 def test_scalar_product_conjugate_symmetry(pa_sine, rng):
     dom = identity_bijection()
     c1, c2 = (complex(*rng.uniform(-1.0, 1.0, size=2)) for _ in range(2))

@@ -227,6 +227,17 @@ def test_huge_eps_gives_a_zero_bound():
     assert simulate(dist, 1e200, trials=10, seed=1).bound == 0.0
 
 
+def test_fig3_below_the_regime_raises():
+    # 1/(4 * 1 * 0.01) = 25 > 1: the same regime check as chebyshev_bound
+    with pytest.raises(ApplicabilityError) as exc:
+        fig3_table([1], [1], 0.1)
+    assert exc.value.min_trials == 25
+    with pytest.raises(ApplicabilityError):
+        chebyshev_bound(LevelBinomial(N=1, p=0.5), 0.1)
+    at_threshold = chebyshev_bound(LevelBinomial(N=25, p=0.5, l=1), 0.1)
+    assert fig3_table([1], [25], 0.1) == [(1, 25, at_threshold)]
+
+
 def test_fig3_validation():
     with pytest.raises(DomainError):
         fig3_table([1], range(10, 12), 0.0)
