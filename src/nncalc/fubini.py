@@ -1,7 +1,8 @@
 """Geodesic angle between rays, its linear reparametrization, and the lifted form.
 
 The overlap of two state vectors defines the geodesic angle
-theta = arccos(|<a|b>| / (|a||b|)) in [0, pi/2].  Its linear rescaling
+theta = arccos(|<a|b>| / (|a||b|)) in [0, pi/2], computed from the chord
+between the phase-aligned unit vectors.  Its linear rescaling
 p = 1 - theta/(pi/2) is a probability whose sine-generator image recovers
 the quantum value: g(p) = cos^2(theta).  Iterating g in both directions
 produces the full ladder of probabilities attached to one overlap.
@@ -43,7 +44,13 @@ def _unit_scaled(v: np.ndarray) -> np.ndarray:
 
 
 def geodesic_distance(a, b) -> float:
-    """Geodesic angle arccos(|<a|b>|/(|a| |b|)) between two nonzero finite vectors."""
+    """Geodesic angle arccos(|<a|b>|/(|a| |b|)) between two nonzero finite vectors.
+
+    Evaluated as 2 arcsin(|a e^{i phi} - b| / 2) on the unit vectors, with
+    phi the phase of <a|b>: half the chord between the phase-aligned rays is
+    sin(theta/2).  That form keeps full accuracy near theta = 0, where
+    arccos of a ratio that rounds just below 1 loses half the digits.
+    """
     a = np.ascontiguousarray(a, dtype=complex)
     b = np.ascontiguousarray(b, dtype=complex)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -53,8 +60,11 @@ def geodesic_distance(a, b) -> float:
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         raise DomainError("geodesic distance is undefined for the zero vector")
-    c = abs(complex(np.vdot(a, b))) / (na * nb)
-    return float(math.acos(min(1.0, max(0.0, c))))
+    a, b = a / na, b / nb
+    c = complex(np.vdot(a, b))
+    chord = float(np.linalg.norm(a * (c / abs(c) if c else 1.0) - b))
+    # the chord of orthogonal rays rounds to 2 sin(pi/4) + 1 ulp
+    return min(HALF_PI, 2.0 * math.asin(min(1.0, 0.5 * chord)))
 
 
 def hidden_prob(theta: float) -> float:

@@ -52,14 +52,28 @@ class Generator:
     generator maps a finite scalar to a builtin ``float`` that is bitwise
     equal to the corresponding element of the array result.  Values are
     immutable after construction and safe to share across threads.
+
+    ``_halves``, when set, is the pair (forward half map, inverse half map):
+    each maps a float64 array of [0, 1/2) into [0, 1/2] in place and returns
+    it (1/2 itself is pinned by the caller).  The contract is that the array ``forward`` and ``inverse`` are
+    exactly fold, half map, unfold: ``_unfold(p, half(_fold(p)))``, bit for
+    bit.  :class:`ExtendedGenerator` then iterates on [0, 1] with the half
+    maps alone.  Only :func:`make_sine_generator` sets it.
     """
 
     name: str
     forward: Callable
     inverse: Callable
+    _halves: tuple[Callable, Callable] | None = None
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"Generator({self.name!r})"
+
+
+def _fold(p):
+    """t = min(p, 1 - p) as a new array, even when p is 0-d; exact on [0, 1]."""
+    t = np.subtract(1.0, p, out=np.empty(p.shape))
+    return np.minimum(p, t, out=t)
 
 
 def _unfold(p, r):
@@ -79,6 +93,23 @@ def _unfold(p, r):
     return r
 
 
+def _sin2_half(t):
+    """t -> sin^2(pi t / 2) in place, the sine generator on [0, 1/2]."""
+    t *= _HALF_PI
+    np.sin(t, out=t)
+    t *= t
+    return t
+
+
+def _asin_sqrt_half(t):
+    """t -> (2/pi) arcsin(sqrt(t)) in place, the sine generator's inverse on [0, 1/2]."""
+    np.maximum(t, 0.0, out=t)
+    np.sqrt(t, out=t)
+    np.arcsin(t, out=t)
+    t *= _TWO_OVER_PI
+    return t
+
+
 def make_sine_generator() -> Generator:
     """The trigonometric generator g(p) = sin^2(pi p / 2).
 
@@ -96,7 +127,10 @@ def make_sine_generator() -> Generator:
     p selects, and r * 1 + 0 = r (r is never -0.0) and r * -1 + 1 = 1 - r
     hold exactly, so the result is bitwise the two-branch form.  That costs
     one sine per element and no data-dependent select (``np.where`` on a
-    mixed mask costs about half a sine).
+    mixed mask costs about half a sine).  The two half maps are the
+    generator's ``_halves``, so sin^2 and arcsin sqrt each have one array
+    implementation, shared with the iterate loop of
+    :class:`ExtendedGenerator`.
 
     ``math.sin`` and ``math.sqrt`` agree with numpy bitwise (the
     equivalence tests check this); ``math.asin`` does not, so arcsin stays
@@ -114,12 +148,7 @@ def make_sine_generator() -> Generator:
             s = math.sin(_HALF_PI * (1.0 - p))
             return 1.0 - s * s
         p = np.asarray(p, dtype=float)
-        r = np.subtract(1.0, p, out=np.empty(p.shape))  # an array even when p is 0-d
-        np.minimum(p, r, out=r)
-        r *= _HALF_PI
-        np.sin(r, out=r)
-        r *= r
-        return _unfold(p, r)
+        return _unfold(p, _sin2_half(_fold(p)))
 
     def inverse(P):
         if _is_finite_scalar(P):
@@ -132,15 +161,9 @@ def make_sine_generator() -> Generator:
             Q = 1.0 - P
             return 1.0 - _TWO_OVER_PI * float(np.arcsin(math.sqrt(Q if Q > 0.0 else 0.0)))
         P = np.asarray(P, dtype=float)
-        r = np.subtract(1.0, P, out=np.empty(P.shape))
-        np.minimum(P, r, out=r)
-        np.maximum(r, 0.0, out=r)
-        np.sqrt(r, out=r)
-        np.arcsin(r, out=r)
-        r *= _TWO_OVER_PI
-        return _unfold(P, r)
+        return _unfold(P, _asin_sqrt_half(_fold(P)))
 
-    return Generator("sine", forward, inverse)
+    return Generator("sine", forward, inverse, _halves=(_sin2_half, _asin_sqrt_half))
 
 
 def make_identity_generator() -> Generator:
@@ -253,6 +276,43 @@ def _cell_array(fn: Callable, x):
     return n
 
 
+def _fold_iterate(half: Callable, p, steps: int):
+    """``steps`` >= 1 steps of a generator on a 1-d block p inside [0, 1], as a new array.
+
+    The block is folded once into t = min(p, 1 - p), runs ``steps`` bare
+    half-map steps and is unfolded once.  Between two steps a lane above
+    1/2 holds x = fl(1 - r); the cell loop would fold it into
+    fl(1 - x) = fl(1 - fl(1 - r)), so such lanes are rounded that way
+    (as c - (c - t) with c = 1, which is t itself where c = 0).
+
+    0 and 1/2 are fixed points of the pinned half map: before a step their
+    lanes are written back and dropped, whenever some lane sits at 1/2
+    (it must be pinned) or a quarter of the lanes sit at 0 (the forward map
+    sends most of [0, 1] to 0 within about ten steps).
+    """
+    res = _fold(p)
+    c = np.greater(p, 0.5, out=np.empty(p.shape))  # 1.0 above 1/2, else 0.0
+    t = res
+    for i in range(steps):
+        if i:
+            np.subtract(c, t, out=t)
+            np.subtract(c, t, out=t)
+        if t.max() == 0.5 or (t.min() == 0.0 and 4 * (t.size - np.count_nonzero(t)) >= t.size):
+            live = np.flatnonzero((t != 0.0) & (t != 0.5))
+            if t is res:
+                lane = live
+            else:
+                res[lane] = t
+                lane = lane[live]
+            t, c = t[live], c[live]
+            if not t.size:
+                break
+        half(t)
+    if t is not res:
+        res[lane] = t
+    return _unfold(p, res)
+
+
 class ExtendedGenerator:
     """A generator promoted to a strictly increasing bijection of the real line.
 
@@ -261,13 +321,28 @@ class ExtendedGenerator:
 
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
-    what the same value gives inside an array.  Arrays and non-finite
+    what the same value gives inside an array.  A finite 0-d or one-element
+    array takes the same scalar loop; it returns a ``float`` when 0-d and a
+    float array in its own shape otherwise.  Other arrays and non-finite
     scalars take the array path, ``iterate(x, k)`` with k = +1 or -1 for
     ``forward`` and ``inverse``.  It walks the flattened input in blocks of
     ``_BLOCK`` elements and runs all |k| steps on one block, while it is in
     cache, before it moves to the next.  The result is a new float array in
     the input's shape (a float when it is 0-d), bitwise equal to the scalar
     path elementwise; the input is never written.
+
+    A block runs one of two loops.  The cell loop applies g_R step by step.
+    The fold loop (:func:`_fold_iterate`) runs when |k| >= 2, the generator
+    has ``_halves`` and the block lies in [0, 1] (a NaN fails the test): it
+    folds once, runs the bare half map |k| times and unfolds once.  It is
+    bitwise the cell loop, because on [0, 1] the cell is the identity
+    (floor is 0, or 1 at 1 where the step gives 1 + g(0) = 1), g keeps each
+    half of [0, 1] (in floating point too: the half maps send [0, 1/2) into
+    [0, 1/2], and a lane that lands on 1/2 is pinned in both loops), and
+    between two steps the unfold and fold of an upper lane reduce to
+    fl(1 - fl(1 - r)), which the fold loop computes exactly (Sterbenz).  A
+    change to how g_R treats values outside [0, 1], such as the odd-symmetric
+    form g_R(x) = -g_R(-x) for x < 0, touches only the cell loop.
     """
 
     def __init__(self, base: Generator):
@@ -297,15 +372,24 @@ class ExtendedGenerator:
                 out = _cell_scalar(fn, out)
             return out
         arr = np.asarray(x, dtype=float)
+        if arr.size == 1 and math.isfinite(arr.item()):
+            out = self.iterate(arr.item(), k)
+            return out if arr.ndim == 0 else np.full(arr.shape, out)
         if k == 0:
             out = arr + 0.0  # a copy, never the caller's array
         else:
+            half = None
+            if self.base._halves is not None and abs(k) >= 2:
+                half = self.base._halves[0 if k > 0 else 1]
             out = np.empty(arr.shape)
             src, dst = arr.reshape(-1), out.reshape(-1)  # dst is a view of out
             for start in range(0, src.size, _BLOCK):
                 block = src[start:start + _BLOCK]
-                for _ in range(abs(k)):
-                    block = _cell_array(fn, block)
+                if half is not None and block.min() >= 0.0 and block.max() <= 1.0:
+                    block = _fold_iterate(half, block, abs(k))
+                else:
+                    for _ in range(abs(k)):
+                        block = _cell_array(fn, block)
                 dst[start:start + _BLOCK] = block
         return float(out) if out.ndim == 0 else out
 
@@ -336,22 +420,24 @@ def eval_iterate(egen: ExtendedGenerator, k: int, x):
     iterates near 0 and 1 is inherent to double precision and is left as is.
     """
     global _clamp_count
-    out = egen.iterate(x, k)
     if _is_finite_scalar(x):
+        out = egen.iterate(x, k)
         if 0.0 <= x <= 1.0 and (out < 0.0 or out > 1.0):
             _clamp_count += 1
             out = 0.0 if out < 0.0 else 1.0
         return out
     arr = np.asarray(x, dtype=float)
+    if arr.size == 1 and math.isfinite(arr.item()):
+        out = eval_iterate(egen, k, arr.item())
+        return out if arr.ndim == 0 else np.full(arr.shape, out)
+    out = egen.iterate(arr, k)
     # two reductions and no full-size boolean temporaries; a NaN fails both tests
     if arr.size and arr.min() >= 0.0 and arr.max() <= 1.0:
-        res = np.asarray(out)
-        if not (res.min() >= 0.0 and res.max() <= 1.0):
-            outside = int(np.count_nonzero((res < 0.0) | (res > 1.0)))
+        if not (out.min() >= 0.0 and out.max() <= 1.0):
+            outside = int(np.count_nonzero((out < 0.0) | (out > 1.0)))
             if outside:
                 _clamp_count += outside
-                res = np.clip(res, 0.0, 1.0)
-                out = float(res) if res.ndim == 0 else res
+                out = np.clip(out, 0.0, 1.0)
     return out
 
 

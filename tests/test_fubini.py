@@ -27,6 +27,30 @@ def test_geodesic_examples():
     assert geodesic_distance(a, np.array([0.0, 1.0], dtype=complex)) == pytest.approx(
         0.5 * math.pi, abs=1e-15)
     assert geodesic_distance(a, b) == pytest.approx(0.25 * math.pi, abs=1e-12)
+    # acos of an overlap ratio one ulp below 1 gave 2.1e-8 for these
+    assert geodesic_distance([1, 1j], [1, 1j]) == 0.0
+    assert geodesic_distance([1, 1], [1, 1]) == 0.0
+
+
+def test_geodesic_matches_mpmath(rng):
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(a, b):
+        with mpmath.workdps(50):
+            a = [mpmath.mpc(complex(z)) for z in a]
+            b = [mpmath.mpc(complex(z)) for z in b]
+            overlap = abs(mpmath.fsum(mpmath.conj(x) * y for x, y in zip(a, b)))
+            norms = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in a) * mpmath.fsum(abs(y) ** 2 for y in b))
+            return float(mpmath.acos(min(overlap / norms, 1)))
+
+    worst = 0.0
+    for scale in (1e-9, 1.0):  # near-parallel pairs, then unrelated ones
+        for _ in range(300):
+            dim = int(rng.integers(2, 5))
+            a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            b = (1.0 - scale) * a + scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            worst = max(worst, abs(geodesic_distance(a, b) - exact(a, b)))
+    assert worst <= 1e-15, worst
 
 
 def test_geodesic_scale_and_phase_invariant(rng):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nncalc import generator
 from nncalc.errors import ConfigError, DomainError, LevelRangeError
 from nncalc.generator import (
     _BLOCK,
+    LEVEL_CAP,
     ExtendedGenerator,
     Generator,
     clamp_count,
@@ -403,7 +405,7 @@ def _bits(value) -> int:
 
 
 def _assert_scalar_matches_array(egen, levels, x):
-    arr = np.array([x], dtype=float)
+    arr = np.array([x, x], dtype=float)  # one element would take the scalar loop too
     pairs = [(egen.forward(x), egen.forward(arr)), (egen.inverse(x), egen.inverse(arr))]
     for k in levels:
         pairs.append((egen.iterate(x, k), egen.iterate(arr, k)))
@@ -453,13 +455,14 @@ def test_clamp_count_same_on_scalar_and_array_paths():
     # just below 1, where g_R(x) = 0 + wobble(x) overshoots
     eg, x = ExtendedGenerator(wobble), math.nextafter(1.0, 0.0)
     deltas, outs = [], []
-    for arg in (x, np.array([x])):
+    for arg in (x, np.array(x), np.array([x]), np.array([x, x])):
         before = clamp_count()
         outs.append(eval_iterate(eg, 1, arg))
         deltas.append(clamp_count() - before)
-    assert deltas == [1, 1]
-    assert type(outs[0]) is float
-    assert _bits(outs[0]) == _bits(outs[1]) == _bits(1.0)
+    assert deltas == [1, 1, 1, 2]
+    assert type(outs[0]) is float and type(outs[1]) is float
+    assert outs[2].shape == (1,) and outs[3].shape == (2,)
+    assert {_bits(v) for v in (outs[0], outs[1], outs[2], outs[3][1])} == {_bits(1.0)}
 
 
 # ------------------------------------------------- blocked array path
@@ -557,3 +560,107 @@ def test_iterate_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= x.nbytes + 2 * 2**20, peak
+
+
+def test_single_element_arrays_take_the_scalar_loop(monkeypatch):
+    def array_kernel(*args):
+        raise AssertionError("array kernel used")
+
+    monkeypatch.setattr(generator, "_cell_array", array_kernel)
+    monkeypatch.setattr(generator, "_fold_iterate", array_kernel)
+    for egen, levels in EQUIVALENCE_CASES:
+        for x in (0.3, -0.0, 0.5, 2.75, -1e300, np.float32(0.75)):
+            for v in (np.array(x), np.array([x]), np.array([[x]])):
+                for k in levels:
+                    out = egen.iterate(v, k)
+                    if v.ndim == 0:
+                        assert type(out) is float
+                    else:
+                        assert out.dtype == np.float64 and out.shape == v.shape
+                    assert _bits(out) == _bits(egen.iterate(x, k)), (egen, x, k, v.shape)
+                    assert _bits(eval_iterate(egen, k, v)) == _bits(eval_iterate(egen, k, x))
+                assert _bits(egen.forward(v)) == _bits(egen.forward(x))
+                assert _bits(egen.inverse(v)) == _bits(egen.inverse(x))
+    monkeypatch.undo()
+    # a non-finite one-element array stays on the array path
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(sine_extended().iterate(np.array([math.nan]), 3)[0])
+
+
+# ------------------------------------------------- fold loop on [0, 1]
+
+FOLD_SIZES = (B - 1, B, B + 1, 2 * B + 3)
+FOLD_LEVELS = (2, -2, 3, -3, 15, -15, LEVEL_CAP, -LEVEL_CAP)
+
+
+def _unit_sample() -> tuple[np.ndarray, np.ndarray]:
+    """2B + 3 points of [0, 1], and the indices to compare with the scalar path.
+
+    Edge values, subnormals and lanes within 1e-15 of 1/2 sit at the start,
+    on both sides of the first block edge and at the end; the indices cover
+    them, the neighbours of every block edge and a seeded spread.
+    """
+    rng = np.random.default_rng(20261018)
+    xs = rng.random(2 * B + 3)
+    special = np.concatenate([
+        [0.0, -0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0,
+         math.nextafter(1.0, 0.0), 2.0**-54, 5e-324, 1.5e-323, 1e-310,
+         2.2250738585072009e-308, 2.2250738585072014e-308],
+        0.5 + rng.uniform(-1e-15, 1e-15, 48),
+        0.5 + np.arange(-8, 9) * 2.0**-54,
+    ])
+    picks = [[i + d for i in (B, 2 * B) for d in range(-8, 8)],
+             np.random.default_rng(11).choice(xs.size, 400, replace=False)]
+    for at in (0, B - 40, xs.size - special.size):
+        xs[at:at + special.size] = special
+        picks.append(np.arange(at, at + special.size))
+    idx = np.unique(np.concatenate(picks))
+    return xs, idx[idx < xs.size]
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The sizes of the blocks that run the fold loop."""
+    calls = []
+    original = generator._fold_iterate
+
+    def counted(half, p, steps):
+        calls.append(p.size)
+        return original(half, p, steps)
+
+    monkeypatch.setattr(generator, "_fold_iterate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", FOLD_LEVELS)
+def test_fold_loop_bitwise_equals_scalar_path(k, fold_calls):
+    egen = sine_extended()
+    xs, idx = _unit_sample()
+    kept = xs.tobytes()
+    ref = np.array([egen.iterate(float(xs[i]), k) for i in idx])
+    for size in FOLD_SIZES:
+        fold_calls.clear()
+        out = egen.iterate(xs[:size], k)
+        assert fold_calls == [min(B, size - s) for s in range(0, size, B)]
+        inside = idx < size
+        assert _same_bits(out[idx[inside]], ref[inside]), (k, size)
+        assert _same_bits(eval_iterate(egen, k, xs[:size]), out)
+    assert xs.tobytes() == kept
+
+
+@pytest.mark.parametrize("k", (2, -2, 15, -15))
+def test_fold_loop_falls_back_outside_the_unit_interval(k, fold_calls):
+    # the second block reaches just past 1 and the third holds a NaN: both
+    # keep the cell loop, which must give the same bits as the scalar path
+    egen = sine_extended()
+    xs, idx = _unit_sample()
+    xs[B + 7] = math.nextafter(1.0, 2.0)
+    xs[2 * B + 1] = math.nan
+    kept = xs.tobytes()
+    with np.errstate(invalid="ignore"):
+        out = egen.iterate(xs, k)
+        idx = np.concatenate([idx, [B + 7, 2 * B + 1]])
+        ref = np.array([egen.iterate(float(xs[i]), k) for i in idx])
+    assert fold_calls == [B]
+    assert _same_bits(out[idx], ref)
+    assert xs.tobytes() == kept
