@@ -2,7 +2,8 @@
 
 The overlap of two state vectors defines the geodesic angle
 theta = arccos(|<a|b>| / (|a||b|)) in [0, pi/2], computed from the chord
-between the phase-aligned unit vectors.  Its linear rescaling
+between the phase-aligned unit vectors when theta is small.  Its linear
+rescaling
 p = 1 - theta/(pi/2) is a probability whose sine-generator image recovers
 the quantum value: g(p) = cos^2(theta).  Iterating g in both directions
 produces the full ladder of probabilities attached to one overlap.
@@ -46,10 +47,14 @@ def _unit_scaled(v: np.ndarray) -> np.ndarray:
 def geodesic_distance(a, b) -> float:
     """Geodesic angle arccos(|<a|b>|/(|a| |b|)) between two nonzero finite vectors.
 
-    Evaluated as 2 arcsin(|a e^{i phi} - b| / 2) on the unit vectors, with
-    phi the phase of <a|b>: half the chord between the phase-aligned rays is
-    sin(theta/2).  That form keeps full accuracy near theta = 0, where
+    Each form is used where it is well conditioned.  When |<a|b>| > 1/2 on
+    the unit vectors (theta < pi/3) it is 2 arcsin(|a e^{i phi} - b| / 2),
+    with phi the phase of <a|b>: half the chord between the phase-aligned
+    rays is sin(theta/2), which keeps full accuracy near theta = 0, where
     arccos of a ratio that rounds just below 1 loses half the digits.
+    Otherwise it is arccos(|<a|b>|), which gives exactly pi/2 for an exactly
+    zero overlap, where the chord of rays normalized by an inexact norm can
+    round below sqrt(2).
     """
     a = np.ascontiguousarray(a, dtype=complex)
     b = np.ascontiguousarray(b, dtype=complex)
@@ -62,9 +67,10 @@ def geodesic_distance(a, b) -> float:
         raise DomainError("geodesic distance is undefined for the zero vector")
     a, b = a / na, b / nb
     c = complex(np.vdot(a, b))
-    chord = float(np.linalg.norm(a * (c / abs(c) if c else 1.0) - b))
-    # the chord of orthogonal rays rounds to 2 sin(pi/4) + 1 ulp
-    return min(HALF_PI, 2.0 * math.asin(min(1.0, 0.5 * chord)))
+    overlap = abs(c)
+    if overlap <= 0.5:
+        return math.acos(overlap)
+    return 2.0 * math.asin(0.5 * float(np.linalg.norm(a * (c / overlap) - b)))
 
 
 def hidden_prob(theta: float) -> float:

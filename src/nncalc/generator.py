@@ -52,19 +52,11 @@ class Generator:
     generator maps a finite scalar to a builtin ``float`` that is bitwise
     equal to the corresponding element of the array result.  Values are
     immutable after construction and safe to share across threads.
-
-    ``_halves``, when set, is the pair (forward half map, inverse half map):
-    each maps a float64 array of [0, 1/2) into [0, 1/2] in place and returns
-    it (1/2 itself is pinned by the caller).  The contract is that the array ``forward`` and ``inverse`` are
-    exactly fold, half map, unfold: ``_unfold(p, half(_fold(p)))``, bit for
-    bit.  :class:`ExtendedGenerator` then iterates on [0, 1] with the half
-    maps alone.  Only :func:`make_sine_generator` sets it.
     """
 
     name: str
     forward: Callable
     inverse: Callable
-    _halves: tuple[Callable, Callable] | None = None
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"Generator({self.name!r})"
@@ -110,6 +102,36 @@ def _asin_sqrt_half(t):
     return t
 
 
+def _sine_forward(p):
+    """The sine generator g(p) = sin^2(pi p / 2), see :func:`make_sine_generator`."""
+    if _is_finite_scalar(p):
+        p = float(p)  # a numpy float32 would keep the arithmetic in float32
+        if p == 0.5:
+            return 0.5
+        if p < 0.5:
+            s = math.sin(_HALF_PI * p)
+            return s * s  # arrays square as x*x; a float's ** 2 calls pow()
+        s = math.sin(_HALF_PI * (1.0 - p))
+        return 1.0 - s * s
+    p = np.asarray(p, dtype=float)
+    return _unfold(p, _sin2_half(_fold(p)))
+
+
+def _sine_inverse(P):
+    """Its inverse (2/pi) arcsin(sqrt(P)), see :func:`make_sine_generator`."""
+    if _is_finite_scalar(P):
+        P = float(P)
+        if P == 0.5:
+            return 0.5
+        if P < 0.5:
+            # P > 0.0 rather than max(): numpy's maximum maps -0.0 to +0.0
+            return _TWO_OVER_PI * float(np.arcsin(math.sqrt(P if P > 0.0 else 0.0)))
+        Q = 1.0 - P
+        return 1.0 - _TWO_OVER_PI * float(np.arcsin(math.sqrt(Q if Q > 0.0 else 0.0)))
+    P = np.asarray(P, dtype=float)
+    return _unfold(P, _asin_sqrt_half(_fold(P)))
+
+
 def make_sine_generator() -> Generator:
     """The trigonometric generator g(p) = sin^2(pi p / 2).
 
@@ -127,43 +149,17 @@ def make_sine_generator() -> Generator:
     p selects, and r * 1 + 0 = r (r is never -0.0) and r * -1 + 1 = 1 - r
     hold exactly, so the result is bitwise the two-branch form.  That costs
     one sine per element and no data-dependent select (``np.where`` on a
-    mixed mask costs about half a sine).  The two half maps are the
-    generator's ``_halves``, so sin^2 and arcsin sqrt each have one array
-    implementation, shared with the iterate loop of
-    :class:`ExtendedGenerator`.
+    mixed mask costs about half a sine).  The array forward and inverse are
+    exactly fold, half map, unfold, ``_unfold(p, half(_fold(p)))`` with the
+    half maps ``_sin2_half`` and ``_asin_sqrt_half``, so sin^2 and arcsin
+    sqrt each have one array implementation, which the iterate loop of
+    :class:`ExtendedGenerator` shares.
 
     ``math.sin`` and ``math.sqrt`` agree with numpy bitwise (the
     equivalence tests check this); ``math.asin`` does not, so arcsin stays
     on numpy's ufunc.
     """
-
-    def forward(p):
-        if _is_finite_scalar(p):
-            p = float(p)  # a numpy float32 would keep the arithmetic in float32
-            if p == 0.5:
-                return 0.5
-            if p < 0.5:
-                s = math.sin(_HALF_PI * p)
-                return s * s  # arrays square as x*x; a float's ** 2 calls pow()
-            s = math.sin(_HALF_PI * (1.0 - p))
-            return 1.0 - s * s
-        p = np.asarray(p, dtype=float)
-        return _unfold(p, _sin2_half(_fold(p)))
-
-    def inverse(P):
-        if _is_finite_scalar(P):
-            P = float(P)
-            if P == 0.5:
-                return 0.5
-            if P < 0.5:
-                # P > 0.0 rather than max(): numpy's maximum maps -0.0 to +0.0
-                return _TWO_OVER_PI * float(np.arcsin(math.sqrt(P if P > 0.0 else 0.0)))
-            Q = 1.0 - P
-            return 1.0 - _TWO_OVER_PI * float(np.arcsin(math.sqrt(Q if Q > 0.0 else 0.0)))
-        P = np.asarray(P, dtype=float)
-        return _unfold(P, _asin_sqrt_half(_fold(P)))
-
-    return Generator("sine", forward, inverse, _halves=(_sin2_half, _asin_sqrt_half))
+    return Generator("sine", _sine_forward, _sine_inverse)
 
 
 def make_identity_generator() -> Generator:
@@ -283,34 +279,23 @@ def _fold_iterate(half: Callable, p, steps: int):
     half-map steps and is unfolded once.  Between two steps a lane above
     1/2 holds x = fl(1 - r); the cell loop would fold it into
     fl(1 - x) = fl(1 - fl(1 - r)), so such lanes are rounded that way
-    (as c - (c - t) with c = 1, which is t itself where c = 0).
-
-    0 and 1/2 are fixed points of the pinned half map: before a step their
-    lanes are written back and dropped, whenever some lane sits at 1/2
-    (it must be pinned) or a quarter of the lanes sit at 0 (the forward map
-    sends most of [0, 1] to 0 within about ten steps).
+    (as c - (c - t) with c = 1, which is t itself where c = 0).  A lane at
+    1/2 stays there, as in the cell loop, though the inverse half map would
+    send it 1 ulp up.
     """
-    res = _fold(p)
+    t = _fold(p)
     c = np.greater(p, 0.5, out=np.empty(p.shape))  # 1.0 above 1/2, else 0.0
-    t = res
     for i in range(steps):
         if i:
             np.subtract(c, t, out=t)
             np.subtract(c, t, out=t)
-        if t.max() == 0.5 or (t.min() == 0.0 and 4 * (t.size - np.count_nonzero(t)) >= t.size):
-            live = np.flatnonzero((t != 0.0) & (t != 0.5))
-            if t is res:
-                lane = live
-            else:
-                res[lane] = t
-                lane = lane[live]
-            t, c = t[live], c[live]
-            if not t.size:
-                break
-        half(t)
-    if t is not res:
-        res[lane] = t
-    return _unfold(p, res)
+        if t.max() == 0.5:
+            pinned = t == 0.5
+            half(t)
+            t[pinned] = 0.5
+        else:
+            half(t)
+    return _unfold(p, t)
 
 
 class ExtendedGenerator:
@@ -321,9 +306,7 @@ class ExtendedGenerator:
 
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
-    what the same value gives inside an array.  A finite 0-d or one-element
-    array takes the same scalar loop; it returns a ``float`` when 0-d and a
-    float array in its own shape otherwise.  Other arrays and non-finite
+    what the same value gives inside an array.  Arrays and non-finite
     scalars take the array path, ``iterate(x, k)`` with k = +1 or -1 for
     ``forward`` and ``inverse``.  It walks the flattened input in blocks of
     ``_BLOCK`` elements and runs all |k| steps on one block, while it is in
@@ -332,10 +315,10 @@ class ExtendedGenerator:
     path elementwise; the input is never written.
 
     A block runs one of two loops.  The cell loop applies g_R step by step.
-    The fold loop (:func:`_fold_iterate`) runs when |k| >= 2, the generator
-    has ``_halves`` and the block lies in [0, 1] (a NaN fails the test): it
-    folds once, runs the bare half map |k| times and unfolds once.  It is
-    bitwise the cell loop, because on [0, 1] the cell is the identity
+    The fold loop (:func:`_fold_iterate`) runs when |k| >= 2, the base maps
+    are the sine generator's and the block lies in [0, 1] (a NaN fails the
+    test): it folds once, runs the bare half map |k| times and unfolds once.
+    It is bitwise the cell loop, because on [0, 1] the cell is the identity
     (floor is 0, or 1 at 1 where the step gives 1 + g(0) = 1), g keeps each
     half of [0, 1] (in floating point too: the half maps send [0, 1/2) into
     [0, 1/2], and a lane that lands on 1/2 is pinned in both loops), and
@@ -372,15 +355,12 @@ class ExtendedGenerator:
                 out = _cell_scalar(fn, out)
             return out
         arr = np.asarray(x, dtype=float)
-        if arr.size == 1 and math.isfinite(arr.item()):
-            out = self.iterate(arr.item(), k)
-            return out if arr.ndim == 0 else np.full(arr.shape, out)
         if k == 0:
             out = arr + 0.0  # a copy, never the caller's array
         else:
-            half = None
-            if self.base._halves is not None and abs(k) >= 2:
-                half = self.base._halves[0 if k > 0 else 1]
+            half = None  # the half map of fn, for the fold loop
+            if abs(k) >= 2 and (fn is _sine_forward or fn is _sine_inverse):
+                half = _sin2_half if k > 0 else _asin_sqrt_half
             out = np.empty(arr.shape)
             src, dst = arr.reshape(-1), out.reshape(-1)  # dst is a view of out
             for start in range(0, src.size, _BLOCK):
@@ -420,24 +400,22 @@ def eval_iterate(egen: ExtendedGenerator, k: int, x):
     iterates near 0 and 1 is inherent to double precision and is left as is.
     """
     global _clamp_count
+    out = egen.iterate(x, k)
     if _is_finite_scalar(x):
-        out = egen.iterate(x, k)
         if 0.0 <= x <= 1.0 and (out < 0.0 or out > 1.0):
             _clamp_count += 1
             out = 0.0 if out < 0.0 else 1.0
         return out
     arr = np.asarray(x, dtype=float)
-    if arr.size == 1 and math.isfinite(arr.item()):
-        out = eval_iterate(egen, k, arr.item())
-        return out if arr.ndim == 0 else np.full(arr.shape, out)
-    out = egen.iterate(arr, k)
     # two reductions and no full-size boolean temporaries; a NaN fails both tests
     if arr.size and arr.min() >= 0.0 and arr.max() <= 1.0:
-        if not (out.min() >= 0.0 and out.max() <= 1.0):
-            outside = int(np.count_nonzero((out < 0.0) | (out > 1.0)))
+        res = np.asarray(out)
+        if not (res.min() >= 0.0 and res.max() <= 1.0):
+            outside = int(np.count_nonzero((res < 0.0) | (res > 1.0)))
             if outside:
                 _clamp_count += outside
-                out = np.clip(out, 0.0, 1.0)
+                res = np.clip(res, 0.0, 1.0)
+                out = float(res) if res.ndim == 0 else res
     return out
 
 

