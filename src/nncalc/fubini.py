@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import ArithmeticContext, _sum_push
-from .errors import DomainError
-from .generator import ExtendedGenerator, eval_iterate, sine_extended
+from .errors import DomainError, LevelRangeError
+from .generator import LEVEL_CAP, ExtendedGenerator, _clamp_unit, sine_extended
 
 HALF_PI = 0.5 * math.pi
 
@@ -88,14 +88,24 @@ def ladder(P: float, k_from: int, k_to: int,
     """All level images g^j(p) for j in [k_from, k_to] of one overlap P.
 
     The base entry p = hidden_prob(arccos(sqrt(P))) sits at level 0 and the
-    entry at j = 1 recovers P itself.
+    entry at j = 1 recovers P itself.  The rungs are walked out from level 0,
+    forward up to k_to and inverse down to k_from, one step each, and then
+    clamped into [0,1] as :func:`eval_iterate` clamps, so each rung is
+    bitwise ``eval_iterate(egen, j, p)``.
     """
     if not (0.0 <= P <= 1.0):
         raise DomainError(f"P must lie in [0,1], got {P!r}")
     if k_from > k_to:
         raise DomainError("k_from must not exceed k_to")
+    if max(-k_from, k_to) > LEVEL_CAP:
+        raise LevelRangeError(f"levels {k_from}..{k_to} exceed the iteration cap {LEVEL_CAP}")
     p0 = hidden_prob(math.acos(math.sqrt(P)))
-    return [eval_iterate(egen, j, p0) for j in range(k_from, k_to + 1)]
+    rungs = {0: p0 + 0.0}
+    for j in range(1, k_to + 1):
+        rungs[j] = egen.forward(rungs[j - 1])
+    for j in range(-1, k_from - 1, -1):
+        rungs[j] = egen.inverse(rungs[j + 1])
+    return [_clamp_unit(rungs[j]) for j in range(k_from, k_to + 1)]
 
 
 @dataclass(frozen=True)

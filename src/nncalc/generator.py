@@ -31,6 +31,12 @@ _SCALAR_TYPES = (float, int, np.floating)
 #: elements per block of the array path: 128 KiB of float64, so a block and
 #: the few temporaries of one step stay in the per-core cache
 _BLOCK = 1 << 14
+#: below this t the sine generator's half step is bitwise t *= pi/2, t *= t:
+#: fl(t pi/2) < 2**-26, where sin(x) rounds to x
+_SIN_IS_IDENTITY = 2.0**-27
+#: forward fold-loop steps from which a block is sorted once; measured in
+#: _fold_iterate's docstring
+_SORT_STEPS = 6
 _BISECT_ROUNDS = 47  # bisection rounds; they leave brackets of [0,1] 2**-47 < 1e-14 wide
 _BAND_GRID = 1001  # points of the uniform grid of [0,1] that effective_band scans
 
@@ -282,19 +288,56 @@ def _fold_iterate(half: Callable, p, steps: int):
     (as c - (c - t) with c = 1, which is t itself where c = 0).  A lane at
     1/2 stays there, as in the cell loop, though the inverse half map would
     send it 1 ulp up.
+
+    From ``_SORT_STEPS`` forward steps on, most lanes fall onto the
+    plateau at 0, and the block is sorted once by t: t and p are gathered
+    in that order, and c is formed from the gathered p.  Before each step
+    a scan from the prefix index m moves it to the first lane not below
+    ``_SIN_IS_IDENTITY``; t[:m] takes the step as t *= pi/2, t *= t, and
+    only t[m:] takes the half map and the 1/2 test.  That is bitwise the
+    half map: below 2**-27, fl(t pi/2) is below 2**-26, where the sine
+    rounds to its argument (a test checks numpy's sine).  The step is
+    monotone on [0, 1/2], so the lanes stay nearly sorted, but the
+    re-round of upper lanes can swap neighbours: the scan tests each lane
+    it adds rather than assume the order, as ``searchsorted`` would, and a
+    prefix lane is at most 2**-52 after a step and a re-round.  After the
+    last step t is scattered through the same order into c's buffer (c is
+    dead by then), which undoes the gather lane for lane.  The threshold,
+    on 10**6 points of [0, 1], 2-vCPU Xeon, 21 interleaved runs:
+    sorted/unsorted time 1.06 at 5 steps, 0.90 at 6 and 0.89 at 7.
     """
     t = _fold(p)
-    c = np.greater(p, 0.5, out=np.empty(p.shape))  # 1.0 above 1/2, else 0.0
+    order = None
+    if half is _sin2_half and steps >= _SORT_STEPS:
+        order = np.argsort(t)
+        # p in t's order goes into t's old buffer (t[order] is taken first),
+        # which keeps the block's arrays at three, as without the sort
+        t, c = t[order], np.take(p, order, out=t, mode="clip")  # "raise" copies via a temporary
+        np.greater(c, 0.5, out=c)  # 1.0 above 1/2, else 0.0
+    else:
+        c = np.greater(p, 0.5, out=np.empty(p.shape))
+    m = 0  # t[:m] lies below _SIN_IS_IDENTITY; m stays 0 unless sorted
     for i in range(steps):
         if i:
             np.subtract(c, t, out=t)
             np.subtract(c, t, out=t)
-        if t.max() == 0.5:
-            pinned = t == 0.5
-            half(t)
-            t[pinned] = 0.5
+        if order is not None and m < t.size:
+            j = int((t[m:] >= _SIN_IS_IDENTITY).argmax())
+            m = m + j if t[m + j] >= _SIN_IS_IDENTITY else t.size
+        low, live = t[:m], t[m:]
+        if m:
+            low *= _HALF_PI
+            low *= low
+        if live.size and live.max() == 0.5:
+            pinned = live == 0.5
+            half(live)
+            live[pinned] = 0.5
         else:
-            half(t)
+            half(live)
+    del low, live  # views that would keep a sorted t alive through the unfold
+    if order is not None:
+        c[order] = t
+        t = c
     return _unfold(p, t)
 
 
@@ -326,6 +369,14 @@ class ExtendedGenerator:
     fl(1 - fl(1 - r)), which the fold loop computes exactly (Sterbenz).  A
     change to how g_R treats values outside [0, 1], such as the odd-symmetric
     form g_R(x) = -g_R(-x) for x < 0, touches only the cell loop.
+
+    At k >= 6 the fold loop sorts each block once, so that the lanes
+    falling onto the plateau at 0 gather at its front; the step is
+    monotone on [0, 1/2], so the front only grows.  A lane that a scan
+    finds below 2**-27 takes the step as two multiplies, since there
+    fl(t pi/2) < 2**-26 and the sine rounds to its argument, and one
+    scatter undoes the sort before the unfold.  Each lane takes the same
+    values as without the sort, so the bits are the same.
     """
 
     def __init__(self, base: Generator):
@@ -391,6 +442,15 @@ def reset_clamp_count() -> None:
     _clamp_count = 0
 
 
+def _clamp_unit(out: float) -> float:
+    """The float out clamped into [0,1], counted by :func:`clamp_count` when it moved."""
+    global _clamp_count
+    if out < 0.0 or out > 1.0:
+        _clamp_count += 1
+        return 0.0 if out < 0.0 else 1.0
+    return out
+
+
 def eval_iterate(egen: ExtendedGenerator, k: int, x):
     """Evaluate g^k(x) by |k|-fold composition, g^0(x) = x exactly.
 
@@ -402,10 +462,7 @@ def eval_iterate(egen: ExtendedGenerator, k: int, x):
     global _clamp_count
     out = egen.iterate(x, k)
     if _is_finite_scalar(x):
-        if 0.0 <= x <= 1.0 and (out < 0.0 or out > 1.0):
-            _clamp_count += 1
-            out = 0.0 if out < 0.0 else 1.0
-        return out
+        return _clamp_unit(out) if 0.0 <= x <= 1.0 else out
     arr = np.asarray(x, dtype=float)
     # two reductions and no full-size boolean temporaries; a NaN fails both tests
     if arr.size and arr.min() >= 0.0 and arr.max() <= 1.0:

@@ -27,6 +27,8 @@ from .generator import ExtendedGenerator, eval_iterate, sine_extended
 
 #: switch binomial coefficients to log-space above this trial count
 _EXACT_COMB_MAX = 50
+#: the largest N at which every C(N, n) is a finite float (C(1030, 515) ~ 2.9e308)
+_COMB_FINITE_MAX = 1029
 
 
 @dataclass(frozen=True)
@@ -54,13 +56,22 @@ class LevelBinomial:
 
 
 def _comb(N: int, n: int) -> float:
+    """C(N, n) as a float; DomainError where it exceeds the float range."""
     if N <= _EXACT_COMB_MAX:
         return float(math.comb(N, n))
-    return math.exp(math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1))
+    try:
+        return math.exp(math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1))
+    except OverflowError as exc:
+        raise DomainError(f"C({N}, {n}) exceeds the float range; every C(N, n) is "
+                          f"finite only for N <= {_COMB_FINITE_MAX}") from exc
 
 
 def pmf(dist: LevelBinomial, n: int) -> float:
-    """Probability of n successes, pushed to the observer level l."""
+    """Probability of n successes, pushed to the observer level l.
+
+    Above N = 1029 a central C(N, n) exceeds the float range, which raises
+    DomainError.
+    """
     if not (0 <= n <= dist.N):
         raise DomainError(f"n must lie in 0..{dist.N}, got {n}")
     p_eff = dist.effective_p()
@@ -70,7 +81,10 @@ def pmf(dist: LevelBinomial, n: int) -> float:
 
 
 def pmf_base_vector(dist: LevelBinomial) -> np.ndarray:
-    """All N+1 outcome probabilities before the level-l push (the pullbacks)."""
+    """All N+1 outcome probabilities before the level-l push (the pullbacks).
+
+    DomainError above N = 1029, where a central C(N, n) exceeds the float range.
+    """
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
     ns = np.arange(dist.N + 1)

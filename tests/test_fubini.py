@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nncalc.errors import DomainError
+from nncalc.errors import DomainError, LevelRangeError
 from nncalc.fubini import (
     HALF_PI,
     RealQuadraticForm,
@@ -13,7 +13,14 @@ from nncalc.fubini import (
     lifted_form_value,
     projector_form,
 )
-from nncalc.generator import sine_extended
+from nncalc.generator import (
+    LEVEL_CAP,
+    ExtendedGenerator,
+    Generator,
+    clamp_count,
+    eval_iterate,
+    sine_extended,
+)
 
 
 def random_unit(rng, dim):
@@ -149,6 +156,36 @@ def test_ladder_validation():
         ladder(1.2, 0, 1)
     with pytest.raises(DomainError):
         ladder(0.5, 2, 1)
+    for k_from, k_to in ((0, LEVEL_CAP + 1), (-LEVEL_CAP - 1, -3)):
+        with pytest.raises(LevelRangeError):
+            ladder(0.5, k_from, k_to)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_ladder_rungs_are_the_per_level_iterates(rng):
+    # the ladder steps out from level 0; each rung must be the bits of its own
+    # |j|-fold iterate, also on ranges that do not contain level 0
+    wobble = Generator("wobble",  # drifts up past 1 from just below it, so rungs clamp
+                       forward=lambda p: np.asarray(p, dtype=float) * (1.0 + 1e-9),
+                       inverse=lambda P: np.asarray(P, dtype=float) / (1.0 + 1e-9))
+    cases = [(sine_extended(), float(P)) for P in rng.random(12)]
+    cases += [(sine_extended(), P) for P in (0.0, 0.5, 1.0, 1e-300)]
+    cases += [(ExtendedGenerator(wobble), 1.0 - 1e-15)]
+    clamped = 0
+    for egen, P in cases:
+        p0 = hidden_prob(math.acos(math.sqrt(P)))
+        for k_from, k_to in ((-3, 3), (2, 5), (-6, -2), (0, 0), (-1, 0), (-LEVEL_CAP, LEVEL_CAP)):
+            c0 = clamp_count()
+            rungs = ladder(P, k_from, k_to, egen=egen)
+            c1 = clamp_count()
+            ref = [eval_iterate(egen, j, p0) for j in range(k_from, k_to + 1)]
+            assert _bits(rungs) == _bits(ref), (P, k_from, k_to)
+            assert c1 - c0 == clamp_count() - c1, (P, k_from, k_to)
+            clamped += c1 - c0
+    assert clamped > 0
 
 
 def test_projector_form_matches_expectation(rng):

@@ -564,7 +564,7 @@ def test_iterate_working_set_is_bounded():
 # ------------------------------------------------- fold loop on [0, 1]
 
 FOLD_SIZES = (B - 1, B, B + 1, 2 * B + 3)
-FOLD_LEVELS = (2, -2, 3, -3, 15, -15, LEVEL_CAP, -LEVEL_CAP)
+FOLD_LEVELS = (2, -2, 3, -3, 5, 6, 7, 8, 15, -15, LEVEL_CAP, -LEVEL_CAP)
 
 
 def _unit_sample() -> tuple[np.ndarray, np.ndarray]:
@@ -638,3 +638,71 @@ def test_fold_loop_falls_back_outside_the_unit_interval(k, fold_calls):
     assert fold_calls == [B]
     assert _same_bits(out[idx], ref)
     assert xs.tobytes() == kept
+
+
+# ------------------------------------------- sorted fold loop at k >= 6
+
+TINY = 2.0**-27  # below it the forward half step skips the sine
+
+
+def _split_sample() -> np.ndarray:
+    """Five whole blocks that put the sorted loop's prefix at its edges.
+
+    All lanes below 2**-27 (lower and upper); all zeros; near 1, where upper
+    lanes enter the prefix through the re-round; near 1/2, with no lane that
+    reaches the prefix within 8 steps; and lanes at 2**-27 and its neighbours,
+    at their preimages under g and g^2, and in t = 1 - p, mixed with uniform
+    lanes.
+    """
+    rng = np.random.default_rng(20261019)
+    tiny = rng.random(B) * (0.99 * TINY)
+    tiny[1::2] = 1.0 - tiny[1::2]
+    tiny[:4] = [5e-324, 1e-310, math.nextafter(TINY, 0.0), 1.0 - math.nextafter(TINY, 0.0)]
+    zeros = np.zeros(B)
+    zeros[::3] = -0.0
+    near_one = 1.0 - rng.random(B) * 1e-6
+    near_one[:3] = [1.0, math.nextafter(1.0, 0.0), 1.0 - TINY]
+    near_half = 0.5 + rng.uniform(-1e-3, 1e-3, B)
+    near_half[:3] = [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
+    edge = TINY + np.arange(-64, 65) * 2.0**-79  # 2**-79 is the ulp just below 2**-27
+    egen = sine_extended()
+    crossing = np.concatenate([edge, 1.0 - edge, egen.iterate(edge, -1), egen.iterate(edge, -2)])
+    mixed = rng.random(B)
+    mixed[: crossing.size] = crossing
+    return np.concatenate([tiny, zeros, near_one, near_half, mixed])
+
+
+@pytest.mark.parametrize("k", FOLD_LEVELS)
+def test_sorted_fold_loop_edge_blocks(k, fold_calls, monkeypatch):
+    egen = sine_extended()
+    xs = _split_sample()
+    kept = xs.tobytes()
+    fold_calls.clear()
+    out = egen.iterate(xs, k)
+    assert fold_calls == [B] * 5
+    # the scalar path on the special lanes of each block and a seeded spread
+    idx = np.unique(np.concatenate([
+        [b * B + d for b in range(5) for d in range(8)],
+        4 * B + np.arange(4 * 129),
+        np.random.default_rng(12).choice(xs.size, 300, replace=False)]))
+    ref = np.array([egen.iterate(float(xs[i]), k) for i in idx])
+    assert _same_bits(out[idx], ref), k
+    # every lane against the unsorted fold loop
+    monkeypatch.setattr(generator, "_SORT_STEPS", LEVEL_CAP + 1)
+    assert _same_bits(egen.iterate(xs, k), out), k
+    assert xs.tobytes() == kept
+
+
+def test_sine_is_the_identity_below_the_prefix_bound():
+    # the sorted fold loop replaces sin(x) by x for x = fl(t pi/2), t < 2**-27
+    rng = np.random.default_rng(5)
+    t = np.concatenate([
+        rng.random(100_000) * TINY,
+        TINY * (1.0 - rng.random(10_000) * 1e-6),
+        np.ldexp(rng.random(2000), rng.integers(-1074, -27, 2000)),
+        [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, math.nextafter(TINY, 0.0)],
+    ])
+    assert t.max() < TINY
+    x = t * (0.5 * math.pi)
+    assert _same_bits(np.sin(x), x)
+    assert _same_bits(generator._sin2_half(t.copy()), x * x)

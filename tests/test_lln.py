@@ -65,6 +65,19 @@ def test_pmf_normalization_levels(rng):
         assert abs(math.fsum(pmf_base_vector(d2)) - 1.0) < 1e-12
 
 
+def test_pmf_beyond_the_float_range_raises():
+    # every C(1029, n) is a finite float; C(1030, 500..530) are not
+    d = LevelBinomial(N=1029, p=0.5)
+    assert abs(math.fsum(pmf_base_vector(d)) - 1.0) < 1e-12
+    assert pmf(d, 514) == pytest.approx(pmf_base_vector(d)[514], rel=1e-15)
+    big = LevelBinomial(N=1030, p=0.5)
+    assert pmf(big, 0) == 0.5**1030
+    for call in (lambda: pmf(big, 515), lambda: pmf_base_vector(big),
+                 lambda: pmf(LevelBinomial(N=10**6, p=0.3), 300_000)):
+        with pytest.raises(DomainError, match="N <= 1029"):
+            call()
+
+
 def test_pmf_matches_base_vector(rng):
     d = LevelBinomial(N=12, p=0.3, k=2, l=1)
     eg = sine_extended()
