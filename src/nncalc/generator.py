@@ -8,7 +8,8 @@ again a generator; the family {g^k} is the backbone of the whole package.
 
 For arithmetic on all of R the generator is extended by unit-cell
 translation, g_R(x) = floor(x) + g(x - floor(x)), which keeps g_R strictly
-increasing, bijective, and fixes every integer.
+increasing, bijective, and fixes every integer.  As g_R maps each cell
+[n, n + 1) into itself, g_R^k(x) = n + g^k(x - n) with n = floor(x).
 """
 
 from __future__ import annotations
@@ -50,9 +51,12 @@ def _is_finite_scalar(x) -> bool:
 class Generator:
     """A strictly increasing bijection of [0,1] with the complement symmetry.
 
-    ``forward`` and ``inverse`` must accept floats or numpy arrays and be
-    elementwise: each output element depends on its own input element alone,
-    so :class:`ExtendedGenerator` may evaluate an array block by block.  (The
+    ``forward`` and ``inverse`` map [0, 1] into itself, in floating point
+    too: :meth:`ExtendedGenerator.iterate` runs all its steps on the
+    fraction x - floor(x) and never splits a step's result again.  They
+    accept floats or numpy arrays and are elementwise: each output element
+    depends on its own input element alone, so :class:`ExtendedGenerator`
+    may evaluate an array block by block.  (The
     bisection inverse of :func:`convex_combine` qualifies: every bracket
     halves in lock-step, so each block stops on the same round.)  The sine
     generator maps a finite scalar to a builtin ``float`` that is bitwise
@@ -191,7 +195,7 @@ def _bisect_increasing(fn: Callable, y):
     # the endpoints are known exactly for any bijection of this class
     x = np.where(y == 0.0, 0.0, x)
     x = np.where(y == 1.0, 1.0, x)
-    return x
+    return np.where(np.isnan(y), y, x)  # every bracket test fails on a NaN
 
 
 def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Generator:
@@ -225,7 +229,7 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
         acc = w_tuple[0] * np.asarray(gen_tuple[0].forward(p))
         for g, w in zip(gen_tuple[1:], w_tuple[1:]):
             acc = acc + w * np.asarray(g.forward(p))
-        return acc
+        return np.minimum(acc, 1.0)  # weights summing to 1 + 1e-12 could overshoot
 
     def inverse(P):
         return _bisect_increasing(forward, P)
@@ -237,12 +241,14 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
 def validate_generator(gen: Generator, grid_points: int = 10_000, tol: float = 1e-12) -> None:
     """Check the defining invariants on a uniform grid; raise DomainError on failure.
 
-    Verified: endpoint fixing within 1 ulp, strict monotonicity, inverse
-    round-trip within ``tol``, and the complement functional equation within
-    ``tol``.
+    Verified: forward stays in [0, 1], endpoint fixing within 1 ulp, strict
+    monotonicity, inverse round-trip within ``tol``, and the complement
+    functional equation within ``tol``.
     """
     p = np.linspace(0.0, 1.0, grid_points)
     fp = np.asarray(gen.forward(p), dtype=float)
+    if not (fp.min() >= 0.0 and fp.max() <= 1.0):  # a NaN fails
+        raise DomainError(f"{gen.name}: forward leaves [0, 1]: range [{fp.min()!r}, {fp.max()!r}]")
     if abs(float(fp[0])) > 5e-16 or abs(float(fp[-1]) - 1.0) > 5e-16:
         raise DomainError(f"{gen.name}: endpoints not fixed: g(0)={fp[0]!r}, g(1)={fp[-1]!r}")
     if not np.all(np.diff(fp) > 0.0):
@@ -271,23 +277,17 @@ def _cell_scalar(fn: Callable, x: float) -> float:
     return n + float(fn(x - n))
 
 
-def _cell_array(fn: Callable, x):
-    """floor(x) + fn(x - floor(x)) elementwise on a 1-d block, as a new array."""
-    n = np.floor(x)
-    n += fn(x - n)
-    return n
-
-
 def _fold_iterate(half: Callable, p, steps: int):
     """``steps`` >= 1 steps of a generator on a 1-d block p inside [0, 1], as a new array.
 
     The block is folded once into t = min(p, 1 - p), runs ``steps`` bare
     half-map steps and is unfolded once.  Between two steps a lane above
-    1/2 holds x = fl(1 - r); the cell loop would fold it into
+    1/2 holds x = fl(1 - r), which the generator's next step folds into
     fl(1 - x) = fl(1 - fl(1 - r)), so such lanes are rounded that way
     (as c - (c - t) with c = 1, which is t itself where c = 0).  A lane at
-    1/2 stays there, as in the cell loop, though the inverse half map would
-    send it 1 ulp up.
+    1/2 stays there, as the generator pins it, though the inverse half map
+    would send it 1 ulp up; a block with a NaN lane takes the pinning branch
+    too.  So each lane is bitwise ``steps`` calls of the generator.
 
     From ``_SORT_STEPS`` forward steps on, most lanes fall onto the
     plateau at 0, and the block is sorted once by t: t and p are gathered
@@ -299,8 +299,10 @@ def _fold_iterate(half: Callable, p, steps: int):
     rounds to its argument (a test checks numpy's sine).  The step is
     monotone on [0, 1/2], so the lanes stay nearly sorted, but the
     re-round of upper lanes can swap neighbours: the scan tests each lane
-    it adds rather than assume the order, as ``searchsorted`` would, and a
-    prefix lane is at most 2**-52 after a step and a re-round.  After the
+    it adds rather than assume the order, as ``searchsorted`` would.  The
+    prefix skips the re-round, which leaves a lower lane as it is; an upper
+    lane is below 2**-52 after its first prefix step and below 2**-100
+    after the next, so it unfolds to exactly 1 either way.  After the
     last step t is scattered through the same order into c's buffer (c is
     dead by then), which undoes the gather lane for lane.  The threshold,
     on 10**6 points of [0, 1], 2-vCPU Xeon, 21 interleaved runs:
@@ -318,17 +320,18 @@ def _fold_iterate(half: Callable, p, steps: int):
         c = np.greater(p, 0.5, out=np.empty(p.shape))
     m = 0  # t[:m] lies below _SIN_IS_IDENTITY; m stays 0 unless sorted
     for i in range(steps):
+        live = t[m:]
         if i:
-            np.subtract(c, t, out=t)
-            np.subtract(c, t, out=t)
+            np.subtract(c[m:], live, out=live)
+            np.subtract(c[m:], live, out=live)
         if order is not None and m < t.size:
-            j = int((t[m:] >= _SIN_IS_IDENTITY).argmax())
-            m = m + j if t[m + j] >= _SIN_IS_IDENTITY else t.size
+            j = int((live >= _SIN_IS_IDENTITY).argmax())
+            m = m + j if live[j] >= _SIN_IS_IDENTITY else t.size
         low, live = t[:m], t[m:]
         if m:
             low *= _HALF_PI
             low *= low
-        if live.size and live.max() == 0.5:
+        if live.size and not live.max() < 0.5:  # a NaN lane hides a lane at 1/2
             pinned = live == 0.5
             half(live)
             live[pinned] = 0.5
@@ -345,7 +348,14 @@ class ExtendedGenerator:
     """A generator promoted to a strictly increasing bijection of the real line.
 
     The unit cell is translated, ``g_R(x) = floor(x) + g(x - floor(x))``,
-    which fixes every integer; ``iterate`` composes g_R or its inverse.
+    which fixes every integer and maps each [n, n + 1) into itself;
+    ``iterate`` composes g_R or its inverse in one loop.  It splits off
+    n = floor(x) and f = x - n once, runs the |k| steps of g or g^-1 on f
+    and adds n back once, so a result is rounded into its cell once, not
+    once per step.  For the sine generator at |k| >= 2 the steps are the
+    fold loop (:func:`_fold_iterate`, which sorts a block once at k >= 6):
+    it folds f once, runs the bare half map |k| times and unfolds once.
+    Otherwise each step is one call of the base map.
 
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
@@ -356,27 +366,7 @@ class ExtendedGenerator:
     cache, before it moves to the next.  The result is a new float array in
     the input's shape (a float when it is 0-d), bitwise equal to the scalar
     path elementwise; the input is never written.
-
-    A block runs one of two loops.  The cell loop applies g_R step by step.
-    The fold loop (:func:`_fold_iterate`) runs when |k| >= 2, the base maps
-    are the sine generator's and the block lies in [0, 1] (a NaN fails the
-    test): it folds once, runs the bare half map |k| times and unfolds once.
-    It is bitwise the cell loop, because on [0, 1] the cell is the identity
-    (floor is 0, or 1 at 1 where the step gives 1 + g(0) = 1), g keeps each
-    half of [0, 1] (in floating point too: the half maps send [0, 1/2) into
-    [0, 1/2], and a lane that lands on 1/2 is pinned in both loops), and
-    between two steps the unfold and fold of an upper lane reduce to
-    fl(1 - fl(1 - r)), which the fold loop computes exactly (Sterbenz).  A
-    change to how g_R treats values outside [0, 1], such as the odd-symmetric
-    form g_R(x) = -g_R(-x) for x < 0, touches only the cell loop.
-
-    At k >= 6 the fold loop sorts each block once, so that the lanes
-    falling onto the plateau at 0 gather at its front; the step is
-    monotone on [0, 1/2], so the front only grows.  A lane that a scan
-    finds below 2**-27 takes the step as two multiplies, since there
-    fl(t pi/2) < 2**-26 and the sine rounds to its argument, and one
-    scatter undoes the sort before the unfold.  Each lane takes the same
-    values as without the sort, so the bits are the same.
+    NaN propagates: +-inf and NaN give NaN, without a warning.
     """
 
     def __init__(self, base: Generator):
@@ -400,28 +390,38 @@ class ExtendedGenerator:
         if abs(k) > LEVEL_CAP:
             raise LevelRangeError(f"|k| = {abs(k)} exceeds the iteration cap {LEVEL_CAP}")
         fn = self.base.forward if k > 0 else self.base.inverse
+        steps = abs(k)
         if _is_finite_scalar(x):
-            out = float(x) + 0.0  # -0.0 -> 0.0, as arrays do at k = 0
-            for _ in range(abs(k)):
-                out = _cell_scalar(fn, out)
-            return out
+            if not steps:
+                return float(x) + 0.0  # -0.0 -> 0.0, as arrays do
+            n = float(math.floor(x))
+            f = float(x) - n
+            for _ in range(steps):
+                f = float(fn(f))
+            return n + f
         arr = np.asarray(x, dtype=float)
-        if k == 0:
+        if not steps:
             out = arr + 0.0  # a copy, never the caller's array
         else:
-            half = None  # the half map of fn, for the fold loop
-            if abs(k) >= 2 and (fn is _sine_forward or fn is _sine_inverse):
-                half = _sin2_half if k > 0 else _asin_sqrt_half
+            half = {_sine_forward: _sin2_half, _sine_inverse: _asin_sqrt_half}.get(fn)
             out = np.empty(arr.shape)
             src, dst = arr.reshape(-1), out.reshape(-1)  # dst is a view of out
             for start in range(0, src.size, _BLOCK):
-                block = src[start:start + _BLOCK]
-                if half is not None and block.min() >= 0.0 and block.max() <= 1.0:
-                    block = _fold_iterate(half, block, abs(k))
+                f, n = src[start:start + _BLOCK], None
+                # inside [0, 1) n is 0, f is x and n + r is r: the split is skipped
+                if not (f.min() >= 0.0 and f.max() < 1.0):  # a NaN fails
+                    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+                        n = np.floor(f)
+                        f = f - n
+                if half is not None and steps >= 2:
+                    f = _fold_iterate(half, f, steps)
                 else:
-                    for _ in range(abs(k)):
-                        block = _cell_array(fn, block)
-                dst[start:start + _BLOCK] = block
+                    for _ in range(steps):
+                        f = fn(f)
+                if n is None:
+                    dst[start:start + _BLOCK] = f
+                else:
+                    np.add(n, f, out=dst[start:start + _BLOCK])
         return float(out) if out.ndim == 0 else out
 
 

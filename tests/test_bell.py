@@ -133,17 +133,27 @@ def test_singlet_from_hidden_matches_table(rng, sine_eg):
         assert diag == pytest.approx(float(table[0][0]), abs=1e-10)
 
 
-def test_gmap_iterate_is_k_fold_composition(sine_eg, rng):
+def test_gmap_iterate_composes_in_one_cell_and_splits_across(sine_eg, rng):
+    # on [0, 1/2], where 2x stays in one cell, G^k is bitwise the k-fold
+    # composition of G; elsewhere g_R^k adds the integer n = floor(2x) back
+    # once, not once per step: G^k(x) = (n + g_R^k(2x - n)) / 2
     gmap = GMap(sine_eg)
-    xs = np.concatenate([rng.uniform(0.0, 0.5, 200), rng.uniform(-2.0, 2.0, 200)])
+    lower, other = rng.uniform(0.0, 0.5, 200), rng.uniform(-2.0, 2.0, 200)
+    other = other[(other < 0.0) | (other > 0.5)]
     for k in (1, -1, 2, -2, 5, -5):
         step = gmap.forward if k > 0 else gmap.inverse
-        for x in [xs] + [float(v) for v in xs]:
+        for x in [lower] + lower.tolist():
             want = x
             for _ in range(abs(k)):
                 want = step(want)
             got = gmap.iterate(x, k)
             assert type(got) is type(want)
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64)), (x, k)
+        for x in [other] + other.tolist():
+            n = np.floor(2.0 * x) if isinstance(x, np.ndarray) else float(math.floor(2.0 * x))
+            got, want = gmap.iterate(x, k), 0.5 * (n + sine_eg.iterate(2.0 * x - n, k))
+            assert type(got) is type(x)
             assert np.array_equal(np.asarray(got).view(np.int64),
                                   np.asarray(want).view(np.int64)), (x, k)
     with pytest.raises(LevelRangeError):
