@@ -9,7 +9,8 @@ again a generator; the family {g^k} is the backbone of the whole package.
 For arithmetic on all of R the generator is extended by unit-cell
 translation, g_R(x) = floor(x) + g(x - floor(x)), which keeps g_R strictly
 increasing, bijective, and fixes every integer.  As g_R maps each cell
-[n, n + 1) into itself, g_R^k(x) = n + g^k(x - n) with n = floor(x).
+[n, n + 1) into itself, g_R^k(x) = n + g^k(x - n) with n = floor(x), and
+as g^k is a generator, g^k(1 - p) = 1 - g^k(p): an iterate folds once.
 """
 
 from __future__ import annotations
@@ -271,6 +272,10 @@ def h_view(gen: Generator, x):
     return float(out) if out.ndim == 0 else out
 
 
+#: the sine generator's maps and their half maps, the lower branch on [0, 1/2]
+_HALF = {_sine_forward: _sin2_half, _sine_inverse: _asin_sqrt_half}
+
+
 def _cell_scalar(fn: Callable, x: float) -> float:
     """floor(x) + fn(x - floor(x)) on a finite float, without numpy."""
     n = float(math.floor(x))
@@ -280,54 +285,39 @@ def _cell_scalar(fn: Callable, x: float) -> float:
 def _fold_iterate(half: Callable, p, steps: int):
     """``steps`` >= 1 steps of a generator on a 1-d block p inside [0, 1], as a new array.
 
-    The block is folded once into t = min(p, 1 - p), runs ``steps`` bare
-    half-map steps and is unfolded once.  Between two steps a lane above
-    1/2 holds x = fl(1 - r), which the generator's next step folds into
-    fl(1 - x) = fl(1 - fl(1 - r)), so such lanes are rounded that way
-    (as c - (c - t) with c = 1, which is t itself where c = 0).  A lane at
-    1/2 stays there, as the generator pins it, though the inverse half map
-    would send it 1 ulp up; a block with a NaN lane takes the pinning branch
-    too.  So each lane is bitwise ``steps`` calls of the generator.
+    g^k is again a generator, so g^k(p) = 1 - g^k(1 - p): the block is
+    folded once into t = min(p, 1 - p), runs ``steps`` bare half-map steps
+    and is unfolded once.  On t <= 1/2 the generator takes its lower
+    branch, the half map, and neither half map rises above 1/2 from below.
+    The inverse can land a lane on 1/2 exactly, and the generator pins a
+    lane there, though the inverse half map would send it 1 ulp up; a block
+    with a NaN lane takes the pinning branch too.
 
     From ``_SORT_STEPS`` forward steps on, most lanes fall onto the
-    plateau at 0, and the block is sorted once by t: t and p are gathered
-    in that order, and c is formed from the gathered p.  Before each step
-    a scan from the prefix index m moves it to the first lane not below
-    ``_SIN_IS_IDENTITY``; t[:m] takes the step as t *= pi/2, t *= t, and
-    only t[m:] takes the half map and the 1/2 test.  That is bitwise the
-    half map: below 2**-27, fl(t pi/2) is below 2**-26, where the sine
-    rounds to its argument (a test checks numpy's sine).  The step is
-    monotone on [0, 1/2], so the lanes stay nearly sorted, but the
-    re-round of upper lanes can swap neighbours: the scan tests each lane
-    it adds rather than assume the order, as ``searchsorted`` would.  The
-    prefix skips the re-round, which leaves a lower lane as it is; an upper
-    lane is below 2**-52 after its first prefix step and below 2**-100
-    after the next, so it unfolds to exactly 1 either way.  After the
-    last step t is scattered through the same order into c's buffer (c is
-    dead by then), which undoes the gather lane for lane.  The threshold,
-    on 10**6 points of [0, 1], 2-vCPU Xeon, 21 interleaved runs:
-    sorted/unsorted time 1.06 at 5 steps, 0.90 at 6 and 0.89 at 7.
+    plateau at 0, and the block is sorted once: s = t[order].  Before each
+    step a scan from the prefix index m moves it to the first lane not
+    below ``_SIN_IS_IDENTITY``; s[:m] takes the step as s *= pi/2, s *= s,
+    and only s[m:] takes the half map and the 1/2 test.  That is bitwise the
+    half map: below 2**-27, fl(s pi/2) is below 2**-26, where the sine
+    rounds to its argument (a test checks numpy's sine).  The scan tests
+    each lane it adds rather than assume that rounding keeps the order, as
+    ``searchsorted`` would; a prefix lane only falls further.  After the
+    last step s is scattered back, t[order] = s.  The threshold, on 10**6
+    points of [0, 1], 2-vCPU Xeon, 21 interleaved runs: sorted/unsorted
+    time 1.06 at 5 steps, 0.90 at 6 and 0.89 at 7.
     """
-    t = _fold(p)
+    t = s = _fold(p)
     order = None
     if half is _sin2_half and steps >= _SORT_STEPS:
         order = np.argsort(t)
-        # p in t's order goes into t's old buffer (t[order] is taken first),
-        # which keeps the block's arrays at three, as without the sort
-        t, c = t[order], np.take(p, order, out=t, mode="clip")  # "raise" copies via a temporary
-        np.greater(c, 0.5, out=c)  # 1.0 above 1/2, else 0.0
-    else:
-        c = np.greater(p, 0.5, out=np.empty(p.shape))
-    m = 0  # t[:m] lies below _SIN_IS_IDENTITY; m stays 0 unless sorted
-    for i in range(steps):
-        live = t[m:]
-        if i:
-            np.subtract(c[m:], live, out=live)
-            np.subtract(c[m:], live, out=live)
-        if order is not None and m < t.size:
+        s = t[order]
+    m = 0  # s[:m] lies below _SIN_IS_IDENTITY; m stays 0 unless sorted
+    for _ in range(steps):
+        if order is not None and m < s.size:
+            live = s[m:]
             j = int((live >= _SIN_IS_IDENTITY).argmax())
-            m = m + j if live[j] >= _SIN_IS_IDENTITY else t.size
-        low, live = t[:m], t[m:]
+            m = m + j if live[j] >= _SIN_IS_IDENTITY else s.size
+        low, live = s[:m], s[m:]
         if m:
             low *= _HALF_PI
             low *= low
@@ -337,10 +327,9 @@ def _fold_iterate(half: Callable, p, steps: int):
             live[pinned] = 0.5
         else:
             half(live)
-    del low, live  # views that would keep a sorted t alive through the unfold
     if order is not None:
-        c[order] = t
-        t = c
+        t[order] = s
+    del s, low, live  # a sorted s and its views would stay alive through the unfold
     return _unfold(p, t)
 
 
@@ -352,10 +341,12 @@ class ExtendedGenerator:
     ``iterate`` composes g_R or its inverse in one loop.  It splits off
     n = floor(x) and f = x - n once, runs the |k| steps of g or g^-1 on f
     and adds n back once, so a result is rounded into its cell once, not
-    once per step.  For the sine generator at |k| >= 2 the steps are the
-    fold loop (:func:`_fold_iterate`, which sorts a block once at k >= 6):
-    it folds f once, runs the bare half map |k| times and unfolds once.
-    Otherwise each step is one call of the base map.
+    once per step.  For the sine generator the steps fold f once into
+    t = min(f, 1 - f), run the lower branch |k| times and unfold once, as
+    g^k(f) = 1 - g^k(1 - f): a scalar calls the base map on t, and an array
+    block at |k| >= 2 runs the fold loop (:func:`_fold_iterate`, which
+    sorts a block once at k >= 6).  Otherwise each step is one call of the
+    base map.
 
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
@@ -396,14 +387,16 @@ class ExtendedGenerator:
                 return float(x) + 0.0  # -0.0 -> 0.0, as arrays do
             n = float(math.floor(x))
             f = float(x) - n
+            upper = f > 0.5 and fn in _HALF  # a sine iterate folds once
+            t = 1.0 - f if upper else f
             for _ in range(steps):
-                f = float(fn(f))
-            return n + f
+                t = float(fn(t))
+            return n + (1.0 - t if upper else t)
         arr = np.asarray(x, dtype=float)
         if not steps:
             out = arr + 0.0  # a copy, never the caller's array
         else:
-            half = {_sine_forward: _sin2_half, _sine_inverse: _asin_sqrt_half}.get(fn)
+            half = _HALF.get(fn)
             out = np.empty(arr.shape)
             src, dst = arr.reshape(-1), out.reshape(-1)  # dst is a view of out
             for start in range(0, src.size, _BLOCK):

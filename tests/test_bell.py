@@ -134,12 +134,12 @@ def test_singlet_from_hidden_matches_table(rng, sine_eg):
 
 
 def test_gmap_iterate_composes_in_one_cell_and_splits_across(sine_eg, rng):
-    # on [0, 1/2], where 2x stays in one cell, G^k is bitwise the k-fold
-    # composition of G; elsewhere g_R^k adds the integer n = floor(2x) back
-    # once, not once per step: G^k(x) = (n + g_R^k(2x - n)) / 2
+    # on [0, 1/4], where 2x is a lower lane of one cell, G^k is bitwise the
+    # k-fold composition of G; elsewhere g_R^k splits off n = floor(2x) and
+    # folds the fraction once, not once per step: G^k(x) = (n + g_R^k(2x - n)) / 2
     gmap = GMap(sine_eg)
-    lower, other = rng.uniform(0.0, 0.5, 200), rng.uniform(-2.0, 2.0, 200)
-    other = other[(other < 0.0) | (other > 0.5)]
+    lower, other = rng.uniform(0.0, 0.25, 200), rng.uniform(-2.0, 2.0, 200)
+    other = other[(other < 0.0) | (other > 0.25)]
     for k in (1, -1, 2, -2, 5, -5):
         step = gmap.forward if k > 0 else gmap.inverse
         for x in [lower] + lower.tolist():

@@ -689,10 +689,10 @@ def _split_sample() -> np.ndarray:
     """Five whole blocks that put the sorted loop's prefix at its edges.
 
     All lanes below 2**-27 (lower and upper); all zeros; near 1, where upper
-    lanes enter the prefix through the re-round; near 1/2, with no lane that
-    reaches the prefix within 8 steps; and lanes at 2**-27 and its neighbours,
-    at their preimages under g and g^2, and in t = 1 - p, mixed with uniform
-    lanes.
+    lanes fold to t = 1 - p below 1e-6 and enter the prefix after a step or
+    two; near 1/2, with no lane that reaches the prefix within 8 steps; and
+    lanes at 2**-27 and its neighbours, at their preimages under g and g^2,
+    and in t = 1 - p, mixed with uniform lanes.
     """
     rng = np.random.default_rng(20261019)
     tiny = rng.random(B) * (0.99 * TINY)
@@ -731,6 +731,22 @@ def test_sorted_fold_loop_edge_blocks(k, fold_calls, monkeypatch):
     monkeypatch.setattr(generator, "_SORT_STEPS", LEVEL_CAP + 1)
     assert _same_bits(egen.iterate(xs, k), out), k
     assert xs.tobytes() == kept
+
+
+@pytest.mark.parametrize("k", BLOCK_LEVELS)
+def test_iterates_keep_the_complement_symmetry(k):
+    # g^k is a generator, so g^k(p) = 1 - g^k(1 - p); for p in (1/2, 1),
+    # where 1 - p is exact, a lane folds once and the two sides agree bitwise
+    egen = sine_extended()
+    xs, idx = _unit_sample()
+    split = _split_sample()
+    p = np.concatenate([xs, split])
+    p = p[(p > 0.5) & (p < 1.0)]
+    assert p.size > 30_000
+    assert _same_bits(egen.iterate(p, k), 1.0 - egen.iterate(1.0 - p, k)), k
+    scalars = np.concatenate([xs[idx], split[::64], [math.nextafter(1.0, 0.0), 1.0 - 1e-9]])
+    for x in scalars[(scalars > 0.5) & (scalars < 1.0)].tolist():
+        assert _bits(egen.iterate(x, k)) == _bits(1.0 - egen.iterate(1.0 - x, k)), (k, x)
 
 
 def test_sine_is_the_identity_below_the_prefix_bound():
@@ -774,11 +790,10 @@ ORACLE_BOUNDS = {1: 2.7, 2: 6.1, 5: 33.2, -1: 2.2, -2: 2.0, -5: 5.0}
 SIGN_FOLD_BOUNDS = {2: 23.1, 5: 238.7}
 
 
-def _worst_ulps(lo: float, hi: float, k: int, seed: int) -> float:
-    """Worst error in ulps of sine_extended().iterate(x, k) against 50-digit
-    mpmath over ORACLE_DRAWS seeded draws from [lo, hi), off the plateaus."""
+def _worst_ulps_of(xs: np.ndarray, k: int) -> float:
+    """Worst error in ulps of sine_extended().iterate(xs, k) against 50-digit
+    mpmath, on the lanes off the plateaus."""
     mpmath = pytest.importorskip("mpmath")
-    xs = np.random.default_rng(seed).uniform(lo, hi, ORACLE_DRAWS)
     got = sine_extended().iterate(xs, k)
     worst = 0.0
     with mpmath.workdps(50):
@@ -798,10 +813,32 @@ def _worst_ulps(lo: float, hi: float, k: int, seed: int) -> float:
     return worst
 
 
+def _worst_ulps(lo: float, hi: float, k: int, seed: int) -> float:
+    """The worst error over ORACLE_DRAWS seeded draws from [lo, hi), off the plateaus."""
+    return _worst_ulps_of(np.random.default_rng(seed).uniform(lo, hi, ORACLE_DRAWS), k)
+
+
 @pytest.mark.parametrize("k", sorted(ORACLE_BOUNDS))
 @pytest.mark.parametrize("lo,hi,seed", [(1.0, 3.0, 31), (-3.0, -1.0, 32)])
 def test_iterate_accuracy_against_mpmath(lo, hi, seed, k):
     assert _worst_ulps(lo, hi, k, seed) <= ORACLE_BOUNDS[k]
+
+
+# Just below the top of a cell the inverse steps run on the folded
+# t = 1 - f, which holds the distance to the top exactly.  The inverse half
+# map's relative condition number sqrt(P) / (2 sqrt(1 - P) arcsin(sqrt(P)))
+# rises from 1/2 at 0 to c = 2/pi at 1/2, so m steps of 5.62u relative each
+# leave 5.62u S_m with S_m = 1 + c + ... + c**(m - 1) on a folded value
+# r <= 1/2, and 1 - r rounds to half an ulp of a result in [1/2, 1): in all,
+# 2.81 S_m + 0.5 ulps, rounded up.  A result in [1, 2) has ulps twice as
+# wide, which covers the add of n.  No result here lies on a plateau.
+TOP_INPUTS = [1.0 - 2.0**-53, 1.0 - 1e-9, 2.0 - 2.0**-52]
+TOP_BOUNDS = {-2: 5.1, -3: 6.3, -5: 7.5}
+
+
+@pytest.mark.parametrize("k", sorted(TOP_BOUNDS))
+def test_iterate_accuracy_against_mpmath_below_the_top_of_a_cell(k):
+    assert _worst_ulps_of(np.array(TOP_INPUTS), k) <= TOP_BOUNDS[k]
 
 
 # -1 + g^k(1 + x) cancels: 9.7e4 ulps at k = 2 and 1.0e6 at k = 5 on these
