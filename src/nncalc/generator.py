@@ -15,9 +15,13 @@ as g^k is a generator, g^k(1 - p) = 1 - g^k(p): an iterate folds once.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +43,9 @@ _SIN_IS_IDENTITY = 2.0**-27
 #: forward fold-loop steps from which a block is sorted once; measured in
 #: _fold_iterate's docstring
 _SORT_STEPS = 6
+#: blocks x |k| from which an array call runs its blocks on every CPU;
+#: measured in ExtendedGenerator's docstring
+_THREADED_WORK = 32
 _BISECT_ROUNDS = 47  # bisection rounds; they leave brackets of [0,1] 2**-47 < 1e-14 wide
 _BAND_GRID = 1001  # points of the uniform grid of [0,1] that effective_band scans
 
@@ -59,10 +66,13 @@ class Generator:
     depends on its own input element alone, so :class:`ExtendedGenerator`
     may evaluate an array block by block.  (The
     bisection inverse of :func:`convex_combine` qualifies: every bracket
-    halves in lock-step, so each block stops on the same round.)  The sine
-    generator maps a finite scalar to a builtin ``float`` that is bitwise
-    equal to the corresponding element of the array result.  Values are
-    immutable after construction and safe to share across threads.
+    halves in lock-step, so each block stops on the same round.)  It may
+    also call them on several threads at once, each on its own disjoint
+    block, so a map with unsynchronised state, such as a call counter,
+    breaks this contract.  The sine generator maps a finite scalar to a
+    builtin ``float`` that is bitwise equal to the corresponding element of
+    the array result.  Values are immutable after construction and safe to
+    share across threads.
     """
 
     name: str
@@ -304,7 +314,12 @@ def _fold_iterate(half: Callable, p, steps: int):
     ``searchsorted`` would; a prefix lane only falls further.  After the
     last step s is scattered back, t[order] = s.  The threshold, on 10**6
     points of [0, 1], 2-vCPU Xeon, 21 interleaved runs: sorted/unsorted
-    time 1.06 at 5 steps, 0.90 at 6 and 0.89 at 7.
+    time 1.06 at 5 steps, 0.90 at 6 and 0.89 at 7.  Re-measured with the
+    blocks on 2 workers of :class:`ExtendedGenerator`, the threshold stays:
+    at k = 8, 49 ms sorting from 6 steps against 60 ms from 10, and at
+    k = 15, 45 ms sorted against 71 ms unsorted (medians of 21).
+    ``np.argsort`` releases the GIL as the ufuncs do: two threads sorting
+    16 Ki blocks ran at CPU/wall 1.8.
     """
     t = s = _fold(p)
     order = None
@@ -333,6 +348,70 @@ def _fold_iterate(half: Callable, p, steps: int):
     return _unfold(p, t)
 
 
+def _iterate_blocks(fn: Callable, half, steps: int, src, dst, first: int, stride: int) -> None:
+    """``steps`` >= 1 steps of g_R (fn, or half's fold loop) on the 1-d src,
+    written to dst: the blocks first, first + stride, first + 2 stride, ..."""
+    for start in range(first * _BLOCK, src.size, stride * _BLOCK):
+        f, n = src[start:start + _BLOCK], None
+        lo, hi = f.min(), f.max()
+        # inside [0, 1) n is 0, f is x and n + r is r: the split is skipped
+        if not (lo >= 0.0 and hi < 1.0):  # a NaN fails
+            n = np.floor(f)
+            if math.isfinite(lo) and math.isfinite(hi):
+                f = f - n
+            else:
+                with np.errstate(invalid="ignore"):  # inf - inf is NaN
+                    f = f - n
+        if half is not None and steps >= 2:
+            f = _fold_iterate(half, f, steps)
+        else:
+            for _ in range(steps):
+                f = fn(f)
+        if n is None:
+            dst[start:start + _BLOCK] = f
+        else:
+            np.add(n, f, out=dst[start:start + _BLOCK])
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_shares(share: Callable, workers: int) -> None:
+    """share(0) on the calling thread and share(1) ... share(workers - 1) on helpers.
+
+    Each helper is a ``threading.Thread`` that runs in a copy of the
+    caller's context, so a caller's ``np.errstate`` holds on it too.  Every
+    started helper is joined before this returns or raises.  The caller's
+    own exception propagates first; otherwise the first exception a helper
+    raised is re-raised here.
+    """
+    errors = []
+
+    def helper(i: int) -> None:
+        try:
+            share(i)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper, i),
+                                      name=f"nncalc-iterate-{i}")
+            thread.start()
+            started.append(thread)
+        share(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 class ExtendedGenerator:
     """A generator promoted to a strictly increasing bijection of the real line.
 
@@ -358,6 +437,31 @@ class ExtendedGenerator:
     the input's shape (a float when it is 0-d), bitwise equal to the scalar
     path elementwise; the input is never written.
     NaN propagates: +-inf and NaN give NaN, without a warning.
+
+    A call of more than one block with blocks x |k| >= ``_THREADED_WORK``
+    deals its blocks out in turn to one worker per CPU the process may run
+    on, never more workers than blocks: the calling thread and short-lived
+    helper threads that :func:`_run_shares` starts and joins within the
+    call.  Each block runs the same code on any thread, so the bits do not
+    change.  The ufuncs and ``np.argsort`` release the GIL and overlap, the
+    Python between them does not, and a helper costs about 95 us to start
+    and join.  Threaded/serial time on [0, 1), 2 workers on a 2-vCPU Xeon,
+    medians of 21 interleaved runs: with both cores free, as a concurrent
+    probe found them (no k = 1 run at 2 blocks did) / with the process
+    pinned to one core:
+
+        blocks       2          4          8          61
+        k =   1      -  /1.29   0.95/1.19  0.82/1.12  0.71/1.03
+        k =  -1   1.46/1.69   1.18/1.34  1.15/1.27  0.90/1.06
+        k =   2   0.86/1.17   0.84/1.09  0.67/1.08  0.59/1.01
+        k =  -2   1.25/1.32   1.10/1.22  0.98/1.10  0.82/1.07
+        k =   6   0.71/1.08   0.66/1.04  0.64/1.06  0.64/1.03
+        k =  15   0.76/1.08   0.72/1.04  0.74/1.05  0.69/1.02
+        k = -15   0.87/1.09   0.75/1.09  0.69/1.07  0.76/1.04
+
+    Short steps pay for GIL hand-offs, so the threshold is 32: k = +-1
+    threads from 32 blocks (0.90 at k = -1), k = +-2 from 16 (0.63 and
+    0.92) and k = 15 from 3 (0.81).
     """
 
     def __init__(self, base: Generator):
@@ -399,22 +503,15 @@ class ExtendedGenerator:
             half = _HALF.get(fn)
             out = np.empty(arr.shape)
             src, dst = arr.reshape(-1), out.reshape(-1)  # dst is a view of out
-            for start in range(0, src.size, _BLOCK):
-                f, n = src[start:start + _BLOCK], None
-                # inside [0, 1) n is 0, f is x and n + r is r: the split is skipped
-                if not (f.min() >= 0.0 and f.max() < 1.0):  # a NaN fails
-                    with np.errstate(invalid="ignore"):  # inf - inf is NaN
-                        n = np.floor(f)
-                        f = f - n
-                if half is not None and steps >= 2:
-                    f = _fold_iterate(half, f, steps)
-                else:
-                    for _ in range(steps):
-                        f = fn(f)
-                if n is None:
-                    dst[start:start + _BLOCK] = f
-                else:
-                    np.add(n, f, out=dst[start:start + _BLOCK])
+            blocks = -(-src.size // _BLOCK)
+            if blocks > 1 and blocks * steps >= _THREADED_WORK:
+                workers = min(_cpu_count(), blocks)
+                # partial, not a lambda: a closure would turn iterate's locals
+                # into cells, which cost every scalar call about 0.3 us
+                _run_shares(partial(_iterate_blocks, fn, half, steps, src, dst, stride=workers),
+                            workers)
+            else:
+                _iterate_blocks(fn, half, steps, src, dst, 0, 1)
         return float(out) if out.ndim == 0 else out
 
 

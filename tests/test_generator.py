@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -371,18 +373,26 @@ def test_every_egen_default_is_the_shared_sine_extension():
         assert default is sine_extended(), name
 
 
-def test_shared_generator_thread_safety(sine_eg):
+def test_shared_generator_thread_safety(sine_eg, monkeypatch):
     # generators are immutable and all operations are pure, so concurrent
-    # use of one shared instance must reproduce the serial results
+    # use of one shared instance must reproduce the serial results; at
+    # |k| >= 9 each call also runs its 4 blocks on 3 workers of its own
     from concurrent.futures import ThreadPoolExecutor
 
-    ps = np.linspace(0.0, 1.0, 257)
-    serial = [np.asarray(eval_iterate(sine_eg, k, ps)) for k in range(-6, 7)]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda k: np.asarray(eval_iterate(sine_eg, k, ps)),
-                                 range(-6, 7)))
+    monkeypatch.setattr(generator, "_cpu_count", lambda: 3)
+    ps = np.concatenate([np.linspace(0.0, 1.0, 257), np.linspace(-3.0, 3.0, 3 * _BLOCK - 252)])
+    levels = range(-15, 16, 3)
+    serial = [np.asarray(eval_iterate(sine_eg, k, ps)) for k in levels]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches inside each call
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(lambda k: np.asarray(eval_iterate(sine_eg, k, ps)), levels,
+                                     timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     for a, b in zip(serial, parallel):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_load_generator_from_file(tmp_path):
@@ -599,6 +609,114 @@ def test_iterate_working_set_is_bounded():
     assert peak <= x.nbytes + 2 * 2**20, peak
 
 
+# ------------------------------------------------- blocks on several threads
+
+MULTI_BLOCK_CASES = [
+    ("sine", BLOCK_CASES[0][1], BLOCK_LEVELS + (6, LEVEL_CAP, -LEVEL_CAP)),
+    ("identity", BLOCK_CASES[1][1], BLOCK_LEVELS + (6, LEVEL_CAP, -LEVEL_CAP)),
+    ("convex", BLOCK_CASES[2][1], (1, -1, 2, -2)),
+]
+
+
+def _multi_block_sample(size: int) -> np.ndarray:
+    """size points: every other block in [-3, 3], the rest in [0, 1), with
+    ``_block_sample``'s special lanes at the start, across every fourth
+    block edge and at the end."""
+    rng = np.random.default_rng(size)
+    xs = rng.random(size)
+    for start in range(B, size, 2 * B):
+        xs[start:start + B] = rng.uniform(-3.0, 3.0, min(B, size - start))
+    special = np.array([float(v) for v in EDGE_VALUES] + NON_FINITE)
+    for at in [0, *range(B - 10, size - special.size, 4 * B), size - special.size]:
+        xs[at:at + special.size] = special
+    return xs
+
+
+@pytest.fixture
+def worker_counts(monkeypatch):
+    """Three CPUs, whatever the host has, and the worker count of every
+    array call that starts helper threads."""
+    counts = []
+    original = generator._run_shares
+
+    def counted(share, workers):
+        counts.append(workers)
+        return original(share, workers)
+
+    monkeypatch.setattr(generator, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(generator, "_run_shares", counted)
+    return counts
+
+
+@pytest.mark.parametrize("size", (5 * B + 7, 61 * B))
+@pytest.mark.parametrize("name,egen,levels", MULTI_BLOCK_CASES,
+                         ids=[c[0] for c in MULTI_BLOCK_CASES])
+def test_threaded_blocks_bitwise_equal_one_block_at_a_time(name, egen, levels, size,
+                                                           worker_counts):
+    # a slice of at most one block runs on the calling thread alone, so the
+    # concatenated slices are the one-worker result of the whole array
+    xs = _multi_block_sample(size)
+    kept = xs.tobytes()
+    blocks = -(-size // B)
+    for k in levels:
+        worker_counts.clear()
+        out = egen.iterate(xs, k)
+        ref = np.concatenate([egen.iterate(xs[s:s + B], k) for s in range(0, size, B)])
+        assert _same_bits(out, ref), (name, k, size)
+        threaded = blocks * abs(k) >= generator._THREADED_WORK
+        assert worker_counts == ([3] if k and threaded else []), (name, k, size)
+    assert xs.tobytes() == kept
+
+
+def _trap_generator(bad: float, raised_on: list) -> ExtendedGenerator:
+    """The identity, except that a lane equal to ``bad`` raises DomainError."""
+
+    def trap(p):
+        p = np.asarray(p, dtype=float)
+        if (p == bad).any():
+            raised_on.append(threading.current_thread())
+            raise DomainError(f"lane {bad!r}")
+        return p + 0.0
+
+    return ExtendedGenerator(Generator("trap", trap, trap))
+
+
+@pytest.mark.parametrize("block", (0, 3))
+def test_an_exception_in_any_block_reaches_the_caller(block, monkeypatch):
+    # with 4 workers block 0 runs on the calling thread and block 3 on a
+    # helper; either way every helper is joined before iterate raises
+    monkeypatch.setattr(generator, "_cpu_count", lambda: 4)
+    raised_on = []
+    egen = _trap_generator(0.25, raised_on)
+    xs = np.random.default_rng(4).random(4 * B)
+    xs[block * B + B - 3] = 0.25
+    steps = -(-generator._THREADED_WORK // 4)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="0.25"):
+        egen.iterate(xs, steps)
+    assert threading.active_count() == before
+    assert (raised_on[0] is threading.current_thread()) == (block == 0)
+
+
+def test_helpers_keep_the_callers_errstate(monkeypatch):
+    # a helper runs in a copy of the caller's context, where np.errstate lives
+    monkeypatch.setattr(generator, "_cpu_count", lambda: 4)
+
+    def forward(p):
+        p = np.asarray(p, dtype=float)
+        np.divide(1.0, p - 0.25)  # divides by zero on a lane at 1/4
+        return p + 0.0
+
+    egen = ExtendedGenerator(Generator("divide", forward, forward))
+    xs = np.random.default_rng(5).random(4 * B)
+    xs[4 * B - 3] = 0.25
+    steps = -(-generator._THREADED_WORK // 4)
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        egen.iterate(xs, steps)
+    with np.errstate(divide="ignore"):  # no RuntimeWarning, which pytest would raise
+        assert _same_bits(egen.iterate(xs, steps), xs)
+
+
 # ------------------------------------------------- fold loop on [0, 1]
 
 FOLD_SIZES = (B - 1, B, B + 1, 2 * B + 3)
@@ -632,7 +750,11 @@ def _unit_sample() -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.fixture
 def fold_calls(monkeypatch):
-    """The sizes of the blocks that run the fold loop."""
+    """The sizes of the blocks that run the fold loop, in the order they ran.
+
+    A large call runs its blocks on several threads, so the tests compare
+    the sizes as a multiset.
+    """
     calls = []
     original = generator._fold_iterate
 
@@ -653,7 +775,7 @@ def test_fold_loop_bitwise_equals_scalar_path(k, fold_calls):
     for size in FOLD_SIZES:
         fold_calls.clear()
         out = egen.iterate(xs[:size], k)
-        assert fold_calls == [min(B, size - s) for s in range(0, size, B)]
+        assert sorted(fold_calls) == sorted(min(B, size - s) for s in range(0, size, B))
         inside = idx < size
         assert _same_bits(out[idx[inside]], ref[inside]), (k, size)
         assert _same_bits(eval_iterate(egen, k, xs[:size]), out)
@@ -672,7 +794,7 @@ def test_fold_loop_runs_every_block(k, fold_calls):
     xs[2 * B + 1], xs[2 * B + 2] = math.nan, 0.5
     kept = xs.tobytes()
     out = egen.iterate(xs, k)
-    assert fold_calls == [B, B, B]
+    assert sorted(fold_calls) == [B, B, B]
     idx = np.concatenate([idx, [B + 7, 2 * B + 1, 2 * B + 2]])
     ref = np.array([egen.iterate(float(xs[i]), k) for i in idx])
     assert _same_bits(out[idx], ref)
@@ -719,7 +841,7 @@ def test_sorted_fold_loop_edge_blocks(k, fold_calls, monkeypatch):
     kept = xs.tobytes()
     fold_calls.clear()
     out = egen.iterate(xs, k)
-    assert fold_calls == [B] * 5
+    assert sorted(fold_calls) == [B] * 5
     # the scalar path on the special lanes of each block and a seeded spread
     idx = np.unique(np.concatenate([
         [b * B + d for b in range(5) for d in range(8)],
