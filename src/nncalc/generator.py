@@ -43,9 +43,9 @@ _SIN_IS_IDENTITY = 2.0**-27
 #: forward fold-loop steps from which a block is sorted once; measured in
 #: _fold_iterate's docstring
 _SORT_STEPS = 6
-#: blocks x |k| from which an array call runs its blocks on every CPU;
-#: measured in ExtendedGenerator's docstring
-_THREADED_WORK = 32
+#: most workers an array call runs its blocks on, the count that
+#: ExtendedGenerator's docstring measured
+_MAX_WORKERS = 2
 _BISECT_ROUNDS = 47  # bisection rounds; they leave brackets of [0,1] 2**-47 < 1e-14 wide
 _BAND_GRID = 1001  # points of the uniform grid of [0,1] that effective_band scans
 
@@ -353,15 +353,11 @@ def _iterate_blocks(fn: Callable, half, steps: int, src, dst, first: int, stride
     written to dst: the blocks first, first + stride, first + 2 stride, ..."""
     for start in range(first * _BLOCK, src.size, stride * _BLOCK):
         f, n = src[start:start + _BLOCK], None
-        lo, hi = f.min(), f.max()
         # inside [0, 1) n is 0, f is x and n + r is r: the split is skipped
-        if not (lo >= 0.0 and hi < 1.0):  # a NaN fails
-            n = np.floor(f)
-            if math.isfinite(lo) and math.isfinite(hi):
+        if not (f.min() >= 0.0 and f.max() < 1.0):  # a NaN fails
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN
+                n = np.floor(f)
                 f = f - n
-            else:
-                with np.errstate(invalid="ignore"):  # inf - inf is NaN
-                    f = f - n
         if half is not None and steps >= 2:
             f = _fold_iterate(half, f, steps)
         else:
@@ -373,21 +369,24 @@ def _iterate_blocks(fn: Callable, half, steps: int, src, dst, first: int, stride
             np.add(n, f, out=dst[start:start + _BLOCK])
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
+def _worker_count() -> int:
+    """The number of CPUs this process may run on, at most ``_MAX_WORKERS``."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 def _run_shares(share: Callable, workers: int) -> None:
     """share(0) on the calling thread and share(1) ... share(workers - 1) on helpers.
 
     Each helper is a ``threading.Thread`` that runs in a copy of the
-    caller's context, so a caller's ``np.errstate`` holds on it too.  Every
-    started helper is joined before this returns or raises.  The caller's
-    own exception propagates first; otherwise the first exception a helper
-    raised is re-raised here.
+    caller's context, so a caller's ``np.errstate`` (a context variable
+    since numpy 2.0) holds on it too.  A share whose thread cannot be
+    started runs on the calling thread.  Every started helper is joined
+    before this returns or raises.  The caller's own exception propagates
+    first; otherwise the first exception a helper raised is re-raised here.
     """
     errors = []
 
@@ -402,7 +401,11 @@ def _run_shares(share: Callable, workers: int) -> None:
         for i in range(1, workers):
             thread = threading.Thread(target=contextvars.copy_context().run, args=(helper, i),
                                       name=f"nncalc-iterate-{i}")
-            thread.start()
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: the caller runs the share
+                share(i)
+                continue
             started.append(thread)
         share(0)
     finally:
@@ -438,9 +441,9 @@ class ExtendedGenerator:
     path elementwise; the input is never written.
     NaN propagates: +-inf and NaN give NaN, without a warning.
 
-    A call of more than one block with blocks x |k| >= ``_THREADED_WORK``
-    deals its blocks out in turn to one worker per CPU the process may run
-    on, never more workers than blocks: the calling thread and short-lived
+    A call of more than one block deals its blocks out in turn to one
+    worker per CPU the process may run on, at most ``_MAX_WORKERS`` = 2
+    and never more workers than blocks: the calling thread and short-lived
     helper threads that :func:`_run_shares` starts and joins within the
     call.  Each block runs the same code on any thread, so the bits do not
     change.  The ufuncs and ``np.argsort`` release the GIL and overlap, the
@@ -459,9 +462,11 @@ class ExtendedGenerator:
         k =  15   0.76/1.08   0.72/1.04  0.74/1.05  0.69/1.02
         k = -15   0.87/1.09   0.75/1.09  0.69/1.07  0.76/1.04
 
-    Short steps pay for GIL hand-offs, so the threshold is 32: k = +-1
-    threads from 32 blocks (0.90 at k = -1), k = +-2 from 16 (0.63 and
-    0.92) and k = 15 from 3 (0.81).
+    Short steps on a few blocks lose to GIL hand-offs, by up to 0.5 ms a
+    call.  The one caller in this package that passes such arrays,
+    ``nncalc iterate`` with a grid of 2 to 16 blocks, spends 130 ms to 1 s
+    writing its CSV, where threads and one worker time the same.  More
+    than 2 workers were not measured, so a larger host runs 2.
     """
 
     def __init__(self, base: Generator):
@@ -504,8 +509,8 @@ class ExtendedGenerator:
             out = np.empty(arr.shape)
             src, dst = arr.reshape(-1), out.reshape(-1)  # dst is a view of out
             blocks = -(-src.size // _BLOCK)
-            if blocks > 1 and blocks * steps >= _THREADED_WORK:
-                workers = min(_cpu_count(), blocks)
+            workers = min(_worker_count(), blocks) if blocks > 1 else 1
+            if workers > 1:
                 # partial, not a lambda: a closure would turn iterate's locals
                 # into cells, which cost every scalar call about 0.3 us
                 _run_shares(partial(_iterate_blocks, fn, half, steps, src, dst, stride=workers),

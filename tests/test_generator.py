@@ -376,12 +376,12 @@ def test_every_egen_default_is_the_shared_sine_extension():
 def test_shared_generator_thread_safety(sine_eg, monkeypatch):
     # generators are immutable and all operations are pure, so concurrent
     # use of one shared instance must reproduce the serial results; at
-    # |k| >= 9 each call also runs its 4 blocks on 3 workers of its own
+    # k != 0 each call also runs its 4 blocks on 3 workers of its own
     from concurrent.futures import ThreadPoolExecutor
 
-    monkeypatch.setattr(generator, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(generator, "_worker_count", lambda: 3)
     ps = np.concatenate([np.linspace(0.0, 1.0, 257), np.linspace(-3.0, 3.0, 3 * _BLOCK - 252)])
-    levels = range(-15, 16, 3)
+    levels = sorted(set(range(-6, 7)) | {-15, -12, -9, 9, 12, 15})
     serial = [np.asarray(eval_iterate(sine_eg, k, ps)) for k in levels]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # more thread switches inside each call
@@ -643,7 +643,7 @@ def worker_counts(monkeypatch):
         counts.append(workers)
         return original(share, workers)
 
-    monkeypatch.setattr(generator, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(generator, "_worker_count", lambda: 3)
     monkeypatch.setattr(generator, "_run_shares", counted)
     return counts
 
@@ -657,14 +657,12 @@ def test_threaded_blocks_bitwise_equal_one_block_at_a_time(name, egen, levels, s
     # concatenated slices are the one-worker result of the whole array
     xs = _multi_block_sample(size)
     kept = xs.tobytes()
-    blocks = -(-size // B)
     for k in levels:
         worker_counts.clear()
         out = egen.iterate(xs, k)
         ref = np.concatenate([egen.iterate(xs[s:s + B], k) for s in range(0, size, B)])
         assert _same_bits(out, ref), (name, k, size)
-        threaded = blocks * abs(k) >= generator._THREADED_WORK
-        assert worker_counts == ([3] if k and threaded else []), (name, k, size)
+        assert worker_counts == ([3] if k else []), (name, k, size)
     assert xs.tobytes() == kept
 
 
@@ -685,22 +683,21 @@ def _trap_generator(bad: float, raised_on: list) -> ExtendedGenerator:
 def test_an_exception_in_any_block_reaches_the_caller(block, monkeypatch):
     # with 4 workers block 0 runs on the calling thread and block 3 on a
     # helper; either way every helper is joined before iterate raises
-    monkeypatch.setattr(generator, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(generator, "_worker_count", lambda: 4)
     raised_on = []
     egen = _trap_generator(0.25, raised_on)
     xs = np.random.default_rng(4).random(4 * B)
     xs[block * B + B - 3] = 0.25
-    steps = -(-generator._THREADED_WORK // 4)
     before = threading.active_count()
     with pytest.raises(DomainError, match="0.25"):
-        egen.iterate(xs, steps)
+        egen.iterate(xs, 1)
     assert threading.active_count() == before
     assert (raised_on[0] is threading.current_thread()) == (block == 0)
 
 
 def test_helpers_keep_the_callers_errstate(monkeypatch):
     # a helper runs in a copy of the caller's context, where np.errstate lives
-    monkeypatch.setattr(generator, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(generator, "_worker_count", lambda: 4)
 
     def forward(p):
         p = np.asarray(p, dtype=float)
@@ -710,11 +707,28 @@ def test_helpers_keep_the_callers_errstate(monkeypatch):
     egen = ExtendedGenerator(Generator("divide", forward, forward))
     xs = np.random.default_rng(5).random(4 * B)
     xs[4 * B - 3] = 0.25
-    steps = -(-generator._THREADED_WORK // 4)
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        egen.iterate(xs, steps)
+        egen.iterate(xs, 1)
     with np.errstate(divide="ignore"):  # no RuntimeWarning, which pytest would raise
-        assert _same_bits(egen.iterate(xs, steps), xs)
+        assert _same_bits(egen.iterate(xs, 1), xs)
+
+
+def test_a_share_whose_thread_cannot_start_runs_on_the_caller(sine_eg, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    xs = _multi_block_sample(4 * B + 3)
+    ref = np.concatenate([sine_eg.iterate(xs[s:s + B], -2) for s in range(0, xs.size, B)])
+    monkeypatch.setattr(generator, "_worker_count", lambda: 3)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert _same_bits(sine_eg.iterate(xs, -2), ref)
+
+
+def test_workers_are_capped_at_the_measured_count(monkeypatch):
+    monkeypatch.setattr(generator.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    monkeypatch.setattr(generator.os, "cpu_count", lambda: 64)
+    assert generator._worker_count() == generator._MAX_WORKERS == 2
 
 
 # ------------------------------------------------- fold loop on [0, 1]
