@@ -84,9 +84,12 @@ def nn_derivative(fn: LevelFunction, x: float, step: float | None = None) -> flo
     """Derivative of a level function at x.
 
     Central differences on the base at r = g^{-k}(x) with one Richardson
-    refinement, step h = max(1, |r|) * eps^(1/3) unless given.  The result
-    is pushed to the target level.
+    refinement, step h = max(1, |r|) * eps^(1/3) unless given, and then
+    positive and finite (DomainError otherwise).  The result is pushed to
+    the target level.
     """
+    if step is not None and not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"nn_derivative: step must be positive and finite, got {step!r}")
     r = _pull_finite(fn.egen, fn.source_level, "nn_derivative", x)
     h = step if step is not None else max(1.0, abs(r)) * _EPS_CBRT
     f = fn.base

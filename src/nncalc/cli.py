@@ -20,7 +20,7 @@ import numpy as np
 from . import bell, entropy, fubini, lln, probability
 from .arithmetic import ArithmeticContext, arith
 from .errors import ConfigError, NncalcError, QuadratureError
-from .generator import ExtendedGenerator, eval_iterate, load_generator
+from .generator import ExtendedGenerator, load_generator
 
 _FLOAT_FMT = "%.17g"
 
@@ -84,7 +84,7 @@ def _cmd_iterate(args) -> str:
         raise NncalcError("grid must have at least 2 points")
     egen = _egen(args)
     ps = np.linspace(0.0, 1.0, args.grid)
-    columns = [eval_iterate(egen, k, ps) for k in args.levels]
+    columns = [egen.iterate(ps, k) for k in args.levels]
     header = ["p"] + [f"g{k}" for k in args.levels]
     rows = ([float(p)] + [float(col[i]) for col in columns] for i, p in enumerate(ps))
     return _csv(header, rows)

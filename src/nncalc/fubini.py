@@ -29,7 +29,7 @@ import numpy as np
 
 from .arithmetic import ArithmeticContext, _sum_push
 from .errors import DomainError, LevelRangeError
-from .generator import LEVEL_CAP, ExtendedGenerator, eval_iterate, sine_extended
+from .generator import LEVEL_CAP, ExtendedGenerator, sine_extended
 
 HALF_PI = 0.5 * math.pi
 
@@ -58,6 +58,8 @@ def geodesic_distance(a, b) -> float:
     """
     a = np.ascontiguousarray(a, dtype=complex)
     b = np.ascontiguousarray(b, dtype=complex)
+    if a.size != b.size:
+        raise DomainError(f"geodesic distance: dimensions {a.size} and {b.size} differ")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DomainError("geodesic distance: a component is not finite")
     a, b = _unit_scaled(a), _unit_scaled(b)
@@ -88,7 +90,8 @@ def ladder(P: float, k_from: int, k_to: int,
     """All level images g^j(p) for j in [k_from, k_to] of one overlap P.
 
     The base entry p = hidden_prob(arccos(sqrt(P))) sits at level 0 and the
-    entry at j = 1 recovers P itself.  Each rung is ``eval_iterate(egen, j, p)``.
+    entry at j = 1 recovers P itself.  Each rung is ``egen.iterate(p, j)``,
+    in [0, 1] because g^j maps [0, 1] into itself.
     """
     if not (0.0 <= P <= 1.0):
         raise DomainError(f"P must lie in [0,1], got {P!r}")
@@ -97,7 +100,7 @@ def ladder(P: float, k_from: int, k_to: int,
     if max(-k_from, k_to) > LEVEL_CAP:
         raise LevelRangeError(f"levels {k_from}..{k_to} exceed the iteration cap {LEVEL_CAP}")
     p0 = hidden_prob(math.acos(math.sqrt(P)))
-    return [eval_iterate(egen, j, p0) for j in range(k_from, k_to + 1)]
+    return [egen.iterate(p0, j) for j in range(k_from, k_to + 1)]
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,8 @@ class RealQuadraticForm:
 def projector_form(b) -> RealQuadraticForm:
     """The quadratic form of the rank-1 projector onto (the ray of) b."""
     b = np.asarray(b, dtype=complex)
+    if not np.isfinite(b).all():
+        raise DomainError("projector form: a component is not finite")
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         raise DomainError("cannot project onto the zero vector")
@@ -140,10 +145,12 @@ def lifted_form_value(form: RealQuadraticForm, a,
     single-push form: each lifted coefficient array is pulled back once,
     the 3n^2 terms are multiplied in ordinary arithmetic, and their
     correctly rounded sum is pushed forward once.  A non-finite component
-    or coefficient raises DomainError.
+    or coefficient, or a vector of another dimension, raises DomainError.
     """
     a = np.asarray(a, dtype=complex)
     parts = (a.real, a.imag, form.re_re, form.im_im, form.re_im)
+    if a.ndim != 1 or any(m.shape != (a.size, a.size) for m in parts[2:]):
+        raise DomainError(f"lifted form: a vector of shape {a.shape} does not fit the form")
     if not all(np.isfinite(v).all() for v in parts):
         raise DomainError("lifted form: a component or coefficient is not finite")
     x, y, xx, yy, xy = (egen.iterate(egen.forward(v), -1) for v in parts)

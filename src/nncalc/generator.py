@@ -520,55 +520,22 @@ class ExtendedGenerator:
         return float(out) if out.ndim == 0 else out
 
 
-_clamp_count = 0
+def eval_iterate(egen: ExtendedGenerator, k: int, x):
+    """``egen.iterate(x, k)``, the k-fold self-composition g_R^k, argument order (k, x).
+
+    A generator maps [0, 1] into itself, so an input in [0, 1] gives a
+    result in [0, 1] without a clamp.
+    """
+    return egen.iterate(x, k)
 
 
 def clamp_count() -> int:
-    """Number of probability-domain values clamped back into [0,1] so far.
-
-    One process-wide counter, shared by all threads; its increments are not
-    atomic, so some can be lost when threads clamp concurrently.
-    """
-    return _clamp_count
+    """Deprecated: always 0, as every generator maps [0, 1] into itself."""
+    return 0
 
 
 def reset_clamp_count() -> None:
-    global _clamp_count
-    _clamp_count = 0
-
-
-def _clamp_unit(out: float) -> float:
-    """The float out clamped into [0,1], counted by :func:`clamp_count` when it moved."""
-    global _clamp_count
-    if out < 0.0 or out > 1.0:
-        _clamp_count += 1
-        return 0.0 if out < 0.0 else 1.0
-    return out
-
-
-def eval_iterate(egen: ExtendedGenerator, k: int, x):
-    """Evaluate g^k(x) by |k|-fold composition, g^0(x) = x exactly.
-
-    When the input lies in [0,1] the result is clamped back into [0,1]
-    after the full composition (never in between); clamp events are counted
-    for diagnostics, see :func:`clamp_count`.  Saturation of large |k|
-    iterates near 0 and 1 is inherent to double precision and is left as is.
-    """
-    global _clamp_count
-    out = egen.iterate(x, k)
-    if _is_finite_scalar(x):
-        return _clamp_unit(out) if 0.0 <= x <= 1.0 else out
-    arr = np.asarray(x, dtype=float)
-    # two reductions and no full-size boolean temporaries; a NaN fails both tests
-    if arr.size and arr.min() >= 0.0 and arr.max() <= 1.0:
-        res = np.asarray(out)
-        if not (res.min() >= 0.0 and res.max() <= 1.0):
-            outside = int(np.count_nonzero((res < 0.0) | (res > 1.0)))
-            if outside:
-                _clamp_count += outside
-                res = np.clip(res, 0.0, 1.0)
-                out = float(res) if res.ndim == 0 else res
-    return out
+    """Deprecated: does nothing, see :func:`clamp_count`."""
 
 
 #: the builtin generators, built once; the test suite validates both

@@ -23,7 +23,7 @@ import numpy as np
 
 from .arithmetic import _check_base
 from .errors import ApplicabilityError, DomainError
-from .generator import ExtendedGenerator, eval_iterate, sine_extended
+from .generator import ExtendedGenerator, sine_extended
 
 #: switch binomial coefficients to log-space above this trial count
 _EXACT_COMB_MAX = 50
@@ -49,10 +49,10 @@ class LevelBinomial:
 
     def effective_p(self) -> float:
         """g^{k-l}(p): the success probability seen after collapsing levels."""
-        return eval_iterate(self.egen, self.k - self.l, self.p)
+        return self.egen.iterate(self.p, self.k - self.l)
 
     def effective_q(self) -> float:
-        return eval_iterate(self.egen, self.k - self.l, 1.0 - self.p)
+        return self.egen.iterate(1.0 - self.p, self.k - self.l)
 
 
 def _comb(N: int, n: int) -> float:
@@ -77,7 +77,7 @@ def pmf(dist: LevelBinomial, n: int) -> float:
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
     base = _comb(dist.N, n) * q_eff ** (dist.N - n) * p_eff ** n
-    return eval_iterate(dist.egen, dist.l, base)
+    return dist.egen.iterate(base, dist.l)
 
 
 def pmf_base_vector(dist: LevelBinomial) -> np.ndarray:
@@ -96,9 +96,11 @@ def moments(dist: LevelBinomial) -> tuple[float, float]:
     """(mean, variance) of the success count in the observer arithmetic."""
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
-    mean = eval_iterate(dist.egen, dist.l, dist.N * p_eff)
-    var = eval_iterate(dist.egen, dist.l, dist.N * p_eff * q_eff)
-    return mean, var
+    try:
+        mean, var = dist.N * p_eff, dist.N * p_eff * q_eff
+    except OverflowError as exc:  # an int N beyond the float range
+        raise DomainError("trial count N exceeds the float range") from exc
+    return dist.egen.iterate(mean, dist.l), dist.egen.iterate(var, dist.l)
 
 
 def _deviation_bound(num: float, N: float, eps: float) -> float:
@@ -124,7 +126,7 @@ def _level_bound(egen: ExtendedGenerator, l: int, pq: float, N: int, eps: float,
         raise ApplicabilityError(
             f"bound applies only for N >= {min_n:.6g} (got N={N})",
             min_trials=math.ceil(min_n))
-    return eval_iterate(egen, l, _deviation_bound(pq, N, eps))
+    return egen.iterate(_deviation_bound(pq, N, eps), l)
 
 
 def chebyshev_bound(dist: LevelBinomial, eps: float) -> float:
@@ -152,10 +154,15 @@ def simulate(dist: LevelBinomial, eps: float, trials: int, seed: int) -> Simulat
     Samples are binomial draws at the effective level-0 probability from a
     counter-based Philox stream keyed by ``seed``; results are
     bit-reproducible for a given (seed, trials, N) and the exceedance count
-    is order independent.
+    is order independent.  The seed must lie in [0, 2**64) and N must not
+    exceed 2**63 - 1, the sampler's range; DomainError otherwise.
     """
     if trials < 1:
         raise DomainError("trials must be a positive integer")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    if dist.N >= 2**63:  # numpy's binomial sampler takes a C int64
+        raise DomainError(f"simulate takes N <= 2**63 - 1, got {dist.N}")
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
     bound = _deviation_bound(p_eff * q_eff, dist.N, eps)

@@ -17,20 +17,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .arithmetic import ArithmeticContext, level_prod, level_sum
 from .errors import ConfigError, DomainError
-from .generator import ExtendedGenerator, eval_iterate, sine_extended
+from .generator import ExtendedGenerator, sine_extended
 
 
 def level_shift(p: float, k: int, egen: ExtendedGenerator = sine_extended()) -> float:
     """The level-k image g^k(p) of a probability, again in [0,1]."""
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability must lie in [0,1], got {p!r}")
-    return eval_iterate(egen, k, p)
+    return egen.iterate(p, k)
 
 
 def normalization_residual(p: float, k: int, l: int,
@@ -110,35 +110,48 @@ class CondTree:
         return ("".join(bits) for bits in itertools.product("01", repeat=self.depth()))
 
 
+def _record(obj, what: str, keys: set) -> None:
+    """ConfigError unless obj is a dict with no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be an object, got {type(obj).__name__}")
+    unknown = set(obj) - keys
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _number(obj: dict, key: str, convert: Callable, default):
+    """convert(obj.get(key, default)); ConfigError where that raises."""
+    try:
+        return convert(obj.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:  # int() of inf overflows
+        raise ConfigError(f"tree key {key!r} must be a number, got {obj[key]!r}") from exc
+
+
 def make_node(obj: dict) -> CondNode:
     """Deserialize one node from a {level, p0[, p1], children} record.
 
     ``level`` defaults to 1 and ``p1`` to the complement of ``p0``.
     """
-    unknown = set(obj) - {"level", "p0", "p1", "children"}
-    if unknown:
-        raise ConfigError(f"unknown tree node keys: {sorted(unknown)}")
+    _record(obj, "tree node", {"level", "p0", "p1", "children"})
     if "p0" not in obj:
         raise ConfigError("tree node needs 'p0'")
-    p0 = float(obj["p0"])
-    p1 = float(obj["p1"]) if "p1" in obj else 1.0 - p0
+    p0 = _number(obj, "p0", float, None)
+    p1 = _number(obj, "p1", float, 1.0 - p0)
     children = None
     if "children" in obj and obj["children"] is not None:
         kids = obj["children"]
-        if len(kids) != 2:
+        if not (isinstance(kids, (list, tuple)) and len(kids) == 2):
             raise ConfigError("tree node 'children' must hold exactly two records")
         children = (make_node(kids[0]), make_node(kids[1]))
-    return CondNode(level=int(obj.get("level", 1)), p0=p0, p1=p1, children=children)
+    return CondNode(level=_number(obj, "level", int, 1), p0=p0, p1=p1, children=children)
 
 
 def tree_from_json(obj: dict) -> CondTree:
     """Deserialize a tree from {sum_level, root} (sum_level defaults to 0)."""
-    unknown = set(obj) - {"sum_level", "root"}
-    if unknown:
-        raise ConfigError(f"unknown tree keys: {sorted(unknown)}")
+    _record(obj, "tree", {"sum_level", "root"})
     if "root" not in obj:
         raise ConfigError("tree object needs a 'root' node")
-    return CondTree(root=make_node(obj["root"]), sum_level=int(obj.get("sum_level", 0)))
+    return CondTree(root=make_node(obj["root"]), sum_level=_number(obj, "sum_level", int, 0))
 
 
 def tree_to_json(tree: CondTree) -> dict:

@@ -57,6 +57,13 @@ def test_derivative_rejects_non_finite_base(sine_eg):
         nn_derivative(bad, 1.0)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-5, math.inf, math.nan], ids=repr)
+def test_derivative_rejects_a_step_not_positive_and_finite(sine_eg, step):
+    # step=0.0 divided by zero in the central difference
+    with pytest.raises(DomainError, match="step"):
+        nn_derivative(lf(sine_eg, lambda r: r * r), 1.5, step=step)
+
+
 def test_integral_linear_base(sine_eg):
     fn = lf(sine_eg, lambda r: r)
     assert nn_integral(fn, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)

@@ -215,6 +215,16 @@ def test_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [["--N", "10", "--seed", "-1"],
+                                  ["--N", "10", "--seed", str(2**64)],
+                                  ["--N", str(10**20), "--seed", "1"]], ids=" ".join)
+def test_lln_sim_out_of_range_exits_2(args, capsys):
+    # numpy's sampler raised a raw OverflowError, exit 1
+    assert run(["lln-sim", "--p", "0.3", "--eps", "0.1", "--trials", "5"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nncalc: ") and err.count("\n") == 1, err
+
+
 def test_argparse_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["arith", "--level", "1", "--op", "cube", "1", "2"])

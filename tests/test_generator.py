@@ -285,18 +285,6 @@ def test_effective_band_domain(sine_eg):
         effective_band(sine_eg, 1.5)
 
 
-def test_clamp_counter():
-    # a deliberately overshooting map: just below 1, g_R(x) = 0 + wobble(x)
-    # lands just above 1
-    eg = ExtendedGenerator(WOBBLE)
-    reset_clamp_count()
-    out = eval_iterate(eg, 1, math.nextafter(1.0, 0.0))
-    assert out == 1.0
-    assert clamp_count() == 1
-    reset_clamp_count()
-    assert clamp_count() == 0
-
-
 def test_generator_from_config():
     gen = generator_from_config("sine")
     assert gen.name == "sine"
@@ -469,19 +457,6 @@ def test_sine_generator_scalar_path(sine_gen, rng):
             out = fn(x)
             assert type(out) is float
             assert _bits(out) == _bits(fn(np.array([x], dtype=float))), x
-
-
-def test_clamp_count_same_on_scalar_and_array_paths():
-    # just below 1, where g_R(x) = 0 + wobble(x) overshoots
-    eg, x = ExtendedGenerator(WOBBLE), math.nextafter(1.0, 0.0)
-    deltas, outs = [], []
-    for arg in (x, np.array([x])):
-        before = clamp_count()
-        outs.append(eval_iterate(eg, 1, arg))
-        deltas.append(clamp_count() - before)
-    assert deltas == [1, 1]
-    assert type(outs[0]) is float
-    assert _bits(outs[0]) == _bits(outs[1]) == _bits(1.0)
 
 
 # ------------------------------------------------- blocked array path
@@ -794,6 +769,28 @@ def test_fold_loop_bitwise_equals_scalar_path(k, fold_calls):
         assert _same_bits(out[idx[inside]], ref[inside]), (k, size)
         assert _same_bits(eval_iterate(egen, k, xs[:size]), out)
     assert xs.tobytes() == kept
+
+
+def test_eval_iterate_is_iterate():
+    # generators map [0, 1] into itself, so eval_iterate has nothing left to
+    # clamp: it is egen.iterate(x, k), scalar and array, bit for bit
+    sine, identity = make_sine_generator(), make_identity_generator()
+    short = (1, -1, 2, -2, 5, -5)
+    xs, idx = _unit_sample()
+    # a scalar convex step runs 47 bisection rounds on 0-d arrays, about 1 ms,
+    # so the convex case checks every 16th scalar lane
+    cases = [(ExtendedGenerator(sine), range(-LEVEL_CAP, LEVEL_CAP + 1), idx),
+             (ExtendedGenerator(identity), short, idx),
+             (ExtendedGenerator(convex_combine([sine, identity], [0.5, 0.5])), short, idx[::16])]
+    reset_clamp_count()
+    for egen, levels, lanes in cases:
+        for k in levels:
+            ref = egen.iterate(xs, k)  # bitwise the scalar path, lane by lane
+            assert _same_bits(eval_iterate(egen, k, xs), ref), (egen, k)
+            outs = [eval_iterate(egen, k, x) for x in xs[lanes].tolist()]
+            assert all(type(out) is float for out in outs), (egen, k)
+            assert _same_bits(np.array(outs), ref[lanes]), (egen, k)
+    assert clamp_count() == 0
 
 
 @pytest.mark.parametrize("k", (2, -2, 15, -15))

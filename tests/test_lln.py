@@ -93,6 +93,12 @@ def test_moments_level_zero():
     assert var == pytest.approx(25.0, abs=1e-12)
 
 
+def test_moments_reject_an_n_beyond_the_float_range():
+    # N * p_eff raised a raw OverflowError
+    with pytest.raises(DomainError, match="float range"):
+        moments(LevelBinomial(N=10**400, p=0.3))
+
+
 def test_moments_frozen():
     d = LevelBinomial(N=10, p=0.25, k=1, l=0)
     mean, var = moments(d)
@@ -189,6 +195,18 @@ def test_simulate_trivial_cases():
     assert rep.empirical_exceed_rate == 1.0
     with pytest.raises(DomainError):
         simulate(d1, eps=0.4, trials=0, seed=0)
+
+
+def test_simulate_takes_the_samplers_seed_and_n_range():
+    d = LevelBinomial(N=10, p=0.3)
+    simulate(d, eps=0.1, trials=5, seed=2**64 - 1)
+    simulate(LevelBinomial(N=2**63 - 1, p=0.3), eps=0.1, trials=5, seed=0)
+    # numpy raised a raw OverflowError for each of these
+    for seed in (-1, 2**64):
+        with pytest.raises(DomainError, match="seed"):
+            simulate(d, eps=0.1, trials=5, seed=seed)
+    with pytest.raises(DomainError, match="N <="):
+        simulate(LevelBinomial(N=2**63, p=0.3), eps=0.1, trials=5, seed=0)
 
 
 def test_simulate_soundness_over_seeds():

@@ -232,6 +232,18 @@ def test_tree_json_roundtrip():
         tree_from_json({"root": {"level": 1, "p0": 0.5, "children": [{"level": 0, "p0": 1.0}]}})
 
 
+@pytest.mark.parametrize("obj", [
+    {"root": 5},
+    {"root": {"p0": "x"}},
+    {"root": {"p0": 0.5, "level": math.inf}},
+    {"root": {"p0": 0.5, "children": 5}},
+], ids=repr)
+def test_tree_json_malformed_raises_config_error(obj):
+    # raw TypeError, ValueError, OverflowError and TypeError before
+    with pytest.raises(ConfigError):
+        tree_from_json(obj)
+
+
 def test_tree_json_defaults_complement():
     tree = tree_from_json({"root": {"level": 1, "p0": 0.3}})
     assert tree.root.p1 == 0.7
