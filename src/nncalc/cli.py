@@ -6,6 +6,10 @@ Each command takes ``--out``; the six that evaluate g^k take ``--generator``,
 and only the stochastic ``lln-sim`` takes ``--seed``.
 Angles are radians unless suffixed with ``deg``.  Exit codes: 0 success,
 2 validation failure, 3 numeric failure.
+
+A CSV table is written from its columns: each float column is tested for
+finiteness once, and one row template formats the rows a few thousand at a
+time, so a large grid never holds all its cells as Python floats at once.
 """
 
 from __future__ import annotations
@@ -61,11 +65,29 @@ def _write(out_path, text: str) -> None:
             fh.write(text)
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+#: rows formatted per chunk by _csv
+_CSV_CHUNK_ROWS = 4096
+
+
+def _csv(header: list[str], columns: list) -> str:
+    """CSV text of equal-length columns.
+
+    An ndarray column holds float64 values, written as ``%.17g``; any other
+    sequence holds ints, written as ``%d``.  A non-finite float raises
+    QuadratureError with the first such value in row order as its estimate.
+    """
+    floats = [c for c in columns if isinstance(c, np.ndarray)]
+    if not all(np.isfinite(c).all() for c in floats):
+        cells = np.column_stack(floats)
+        raise QuadratureError("non-finite value in output",
+                              estimate=float(cells[~np.isfinite(cells)][0]))
+    row = ",".join(_FLOAT_FMT if isinstance(c, np.ndarray) else "%d" for c in columns) + "\n"
+    parts = [",".join(header) + "\n"]
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        chunk = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
+        chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+        parts.append("".join(map(row.__mod__, zip(*chunk))))
+    return "".join(parts)
 
 
 def _json_text(obj) -> str:
@@ -84,19 +106,15 @@ def _cmd_iterate(args) -> str:
         raise NncalcError("grid must have at least 2 points")
     egen = _egen(args)
     ps = np.linspace(0.0, 1.0, args.grid)
-    columns = [egen.iterate(ps, k) for k in args.levels]
-    header = ["p"] + [f"g{k}" for k in args.levels]
-    rows = ([float(p)] + [float(col[i]) for col in columns] for i, p in enumerate(ps))
-    return _csv(header, rows)
+    return _csv(["p"] + [f"g{k}" for k in args.levels],
+                [ps] + [egen.iterate(ps, k) for k in args.levels])
 
 
 def _cmd_alpha_theta(args) -> str:
     if args.grid < 2:
         raise NncalcError("grid must have at least 2 points")
     thetas = np.linspace(0.0, math.pi, args.grid)
-    alphas = probability.alpha_of_theta(thetas)
-    return _csv(["theta", "alpha"],
-                ([float(t), float(a)] for t, a in zip(thetas, alphas)))
+    return _csv(["theta", "alpha"], [thetas, probability.alpha_of_theta(thetas)])
 
 
 def _cmd_bell_scan(args) -> str:
@@ -109,8 +127,8 @@ def _cmd_lln(args) -> str:
         raise NncalcError("--n-min must not exceed --n-max")
     rows = lln.fig3_table(args.levels, range(args.n_min, args.n_max + 1), args.eps,
                           egen=_egen(args))
-    return _csv(["level", "N", "bound"],
-                ([l, n, float(b)] for l, n, b in rows))
+    levels, ns, bounds = zip(*rows) if rows else ((), (), ())
+    return _csv(["level", "N", "bound"], [levels, ns, np.array(bounds, dtype=float)])
 
 
 def _cmd_lln_sim(args) -> str:
@@ -121,8 +139,7 @@ def _cmd_lln_sim(args) -> str:
 
 def _cmd_singlet(args) -> str:
     table = probability.singlet_table(args.theta)
-    rows = [[a, b, float(table[a][b])] for a in (0, 1) for b in (0, 1)]
-    return _csv(["a", "b", "p"], rows)
+    return _csv(["a", "b", "p"], [(0, 0, 1, 1), (0, 1, 0, 1), table.ravel()])
 
 
 def _cmd_entropy(args) -> str:

@@ -119,10 +119,15 @@ class RealQuadraticForm:
 
 
 def projector_form(b) -> RealQuadraticForm:
-    """The quadratic form of the rank-1 projector onto (the ray of) b."""
-    b = np.asarray(b, dtype=complex)
+    """The quadratic form of the rank-1 projector onto (the ray of) b.
+
+    b is scaled by a power of two before its norm is taken, as in
+    geodesic_distance, so huge finite components do not overflow the norm.
+    """
+    b = np.ascontiguousarray(b, dtype=complex)
     if not np.isfinite(b).all():
         raise DomainError("projector form: a component is not finite")
+    b = _unit_scaled(b)
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         raise DomainError("cannot project onto the zero vector")

@@ -40,11 +40,9 @@ _BLOCK = 1 << 14
 #: below this t the sine generator's half step is bitwise t *= pi/2, t *= t:
 #: fl(t pi/2) < 2**-26, where sin(x) rounds to x
 _SIN_IS_IDENTITY = 2.0**-27
-#: forward fold-loop steps from which a block is sorted once; measured in
-#: _fold_iterate's docstring
+#: forward fold-loop steps from which a block is sorted once (see _fold_iterate)
 _SORT_STEPS = 6
-#: most workers an array call runs its blocks on, the count that
-#: ExtendedGenerator's docstring measured
+#: most workers an array call runs its blocks on (see ExtendedGenerator)
 _MAX_WORKERS = 2
 _BISECT_ROUNDS = 47  # bisection rounds; they leave brackets of [0,1] 2**-47 < 1e-14 wide
 _BAND_GRID = 1001  # points of the uniform grid of [0,1] that effective_band scans
@@ -312,14 +310,8 @@ def _fold_iterate(half: Callable, p, steps: int):
     rounds to its argument (a test checks numpy's sine).  The scan tests
     each lane it adds rather than assume that rounding keeps the order, as
     ``searchsorted`` would; a prefix lane only falls further.  After the
-    last step s is scattered back, t[order] = s.  The threshold, on 10**6
-    points of [0, 1], 2-vCPU Xeon, 21 interleaved runs: sorted/unsorted
-    time 1.06 at 5 steps, 0.90 at 6 and 0.89 at 7.  Re-measured with the
-    blocks on 2 workers of :class:`ExtendedGenerator`, the threshold stays:
-    at k = 8, 49 ms sorting from 6 steps against 60 ms from 10, and at
-    k = 15, 45 ms sorted against 71 ms unsorted (medians of 21).
-    ``np.argsort`` releases the GIL as the ufuncs do: two threads sorting
-    16 Ki blocks ran at CPU/wall 1.8.
+    last step s is scattered back, t[order] = s.  The timings behind
+    ``_SORT_STEPS`` are in CHANGES.md, under "generator.py measurements".
     """
     t = s = _fold(p)
     order = None
@@ -447,26 +439,10 @@ class ExtendedGenerator:
     helper threads that :func:`_run_shares` starts and joins within the
     call.  Each block runs the same code on any thread, so the bits do not
     change.  The ufuncs and ``np.argsort`` release the GIL and overlap, the
-    Python between them does not, and a helper costs about 95 us to start
-    and join.  Threaded/serial time on [0, 1), 2 workers on a 2-vCPU Xeon,
-    medians of 21 interleaved runs: with both cores free, as a concurrent
-    probe found them (no k = 1 run at 2 blocks did) / with the process
-    pinned to one core:
-
-        blocks       2          4          8          61
-        k =   1      -  /1.29   0.95/1.19  0.82/1.12  0.71/1.03
-        k =  -1   1.46/1.69   1.18/1.34  1.15/1.27  0.90/1.06
-        k =   2   0.86/1.17   0.84/1.09  0.67/1.08  0.59/1.01
-        k =  -2   1.25/1.32   1.10/1.22  0.98/1.10  0.82/1.07
-        k =   6   0.71/1.08   0.66/1.04  0.64/1.06  0.64/1.03
-        k =  15   0.76/1.08   0.72/1.04  0.74/1.05  0.69/1.02
-        k = -15   0.87/1.09   0.75/1.09  0.69/1.07  0.76/1.04
-
-    Short steps on a few blocks lose to GIL hand-offs, by up to 0.5 ms a
-    call.  The one caller in this package that passes such arrays,
-    ``nncalc iterate`` with a grid of 2 to 16 blocks, spends 130 ms to 1 s
-    writing its CSV, where threads and one worker time the same.  More
-    than 2 workers were not measured, so a larger host runs 2.
+    Python between them does not, so short steps on a few blocks can lose
+    to GIL hand-offs.  More than 2 workers were not measured, so a larger
+    host runs 2.  The threaded/serial timings behind these rules are in
+    CHANGES.md, under "generator.py measurements".
     """
 
     def __init__(self, base: Generator):

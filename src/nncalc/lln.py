@@ -83,8 +83,12 @@ def pmf(dist: LevelBinomial, n: int) -> float:
 def pmf_base_vector(dist: LevelBinomial) -> np.ndarray:
     """All N+1 outcome probabilities before the level-l push (the pullbacks).
 
-    DomainError above N = 1029, where a central C(N, n) exceeds the float range.
+    DomainError above N = 1029, where a central C(N, n) exceeds the float range;
+    that is checked before the N + 1 entries are allocated.
     """
+    if dist.N > _COMB_FINITE_MAX:
+        raise DomainError(f"C({dist.N}, {dist.N // 2}) exceeds the float range; every "
+                          f"C(N, n) is finite only for N <= {_COMB_FINITE_MAX}")
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
     ns = np.arange(dist.N + 1)

@@ -7,9 +7,11 @@ Run from the repository root::
 Every command of ``tests/test_golden.py`` is run again and its golden file
 rewritten.  For each file whose bytes changed, the largest difference in
 units in the last place between corresponding numbers is printed; a changed
-count of numbers is reported as a changed layout.
+count of numbers is reported as a changed layout.  The SHA-256 pins of
+``digests.json`` are rewritten too, and each one that changed is printed.
 """
 
+import json
 import re
 import struct
 import sys
@@ -18,7 +20,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from test_golden import COMMANDS, GOLDEN_DIR, render  # noqa: E402
+from test_golden import (  # noqa: E402
+    COMMANDS, DIGEST_COMMANDS, DIGEST_FILE, GOLDEN_DIR, digest, render)
 
 _NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -52,6 +55,13 @@ def main() -> None:
                 continue
             ulps = max_ulp_difference(old, new)
             print(f"{name}: " + ("layout changed" if ulps is None else f"max {ulps} ulp"))
+        old = json.loads(DIGEST_FILE.read_text()) if DIGEST_FILE.exists() else {}
+        new = {name: digest(render(name, Path(tmp))) for name in sorted(DIGEST_COMMANDS)}
+        if old != new:
+            DIGEST_FILE.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+        for name in sorted(new):
+            if old.get(name) != new[name]:
+                print(f"{DIGEST_FILE.name}: {name} " + ("new" if name not in old else "changed"))
 
 
 if __name__ == "__main__":

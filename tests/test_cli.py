@@ -5,9 +5,14 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from nncalc import cli, probability
 from nncalc.cli import build_parser, run
+from nncalc.errors import QuadratureError
 
 
 def run_to_file(tmp_path, args, name="out.txt"):
@@ -257,6 +262,80 @@ def test_numeric_failure_exit_code(capsys):
     # an alpha extreme enough to underflow the averaging route to -inf
     assert run(["entropy", "--probs", "0.5,0.5", "--alpha", "5000"]) == 3
     capsys.readouterr()
+
+
+def reference_csv(header, columns):
+    """The CSV text of ``columns`` built cell by cell: a float as %.17g, an int as %d."""
+    rows = ([("%.17g" % v) if isinstance(v, float) else ("%d" % v) for v in row]
+            for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
+#: -0.0, the least subnormal, a larger subnormal, the largest double below 1,
+#: and magnitudes near the top of the float range
+EDGE_FLOATS = [-0.0, 5e-324, 2.5e-310, 1.0 - 2.0 ** -53, 1.7e308, -1.7e308]
+
+
+@st.composite
+def float_and_int_columns(draw):
+    n = draw(st.integers(0, 40))
+    cell = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    columns = [np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+               for _ in range(draw(st.integers(1, 3)))]
+    ints = draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n))
+    columns.insert(draw(st.integers(0, len(columns))), ints)
+    return columns
+
+
+@given(float_and_int_columns())
+@example([np.array(EDGE_FLOATS), list(range(len(EDGE_FLOATS)))])
+def test_csv_matches_cell_by_cell_formatting(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    assert cli._csv(header, columns) == reference_csv(header, columns)
+
+
+def test_csv_across_row_chunk_edges():
+    rng = np.random.default_rng(5)
+    size = cli._CSV_CHUNK_ROWS
+    for n in (1, size - 1, size, size + 1, 2 * size + 1):
+        columns = [list(range(n)), rng.random(n), rng.normal(size=n) * 1e-310]
+        text = cli._csv(["n", "u", "tiny"], columns)
+        assert text == reference_csv(["n", "u", "tiny"], columns), n
+        assert text.count("\n") == n + 1
+
+
+def test_csv_reports_the_first_non_finite_value_in_row_order():
+    # column order would find the NaN of row 1 first
+    with pytest.raises(QuadratureError, match="non-finite value in output") as exc:
+        cli._csv(["a", "b"], [np.array([1.0, math.nan]), np.array([-math.inf, 2.0])])
+    assert exc.value.estimate == -math.inf
+
+
+def test_empty_level_list(tmp_path):
+    code, data = run_to_file(tmp_path, ["iterate", "--levels=", "--grid", "3"])
+    assert code == 0 and data == b"p\n0\n0.5\n1\n"
+    code, data = run_to_file(
+        tmp_path, ["lln", "--levels=", "--eps", "0.1", "--n-min", "25", "--n-max", "30"])
+    assert code == 0 and data == b"level,N,bound\n"
+
+
+def test_non_finite_output_exits_3(monkeypatch, capsys):
+    alpha_of_theta = probability.alpha_of_theta
+
+    def broken(thetas):
+        alphas = alpha_of_theta(thetas)
+        alphas[[2, 5]] = [-math.inf, math.nan]
+        return alphas
+
+    monkeypatch.setattr(probability, "alpha_of_theta", broken)
+    assert run(["alpha-theta", "--grid", "11"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nncalc: numeric failure: non-finite value in output\n"
+    args = cli._PARSER.parse_args(["alpha-theta", "--grid", "11"])
+    with pytest.raises(QuadratureError) as exc:
+        args.fn(args)
+    assert exc.value.estimate == -math.inf
 
 
 def test_byte_determinism(tmp_path):

@@ -242,6 +242,14 @@ def test_projector_form_rejects_non_finite():
             projector_form(np.array([bad, 1.0]))
 
 
+def test_projector_form_of_huge_components():
+    # the norm of (1e200, 1e200) overflowed, and the form came out all zero
+    big = projector_form(np.array([1e200, 1e200]))
+    unit = projector_form(np.array([1.0, 1.0]))
+    for field in ("re_re", "im_im", "re_im"):
+        assert getattr(big, field).tobytes() == getattr(unit, field).tobytes(), field
+
+
 def test_projector_form_zero_vector():
     with pytest.raises(DomainError):
         projector_form(np.zeros(3, dtype=complex))

@@ -1,12 +1,14 @@
 """CLI output bytes pinned against the files in tests/golden/.
 
 Each command runs in-process through ``cli.run()``; any byte difference from
-its golden file fails.  The test never writes a golden.  After a deliberate
-output change, rewrite them with ``PYTHONPATH=src python
-tests/golden/make_goldens.py``, which prints each changed file's max ulp
-difference for CHANGES.md.
+its golden file fails.  Outputs too big to commit are pinned instead by the
+SHA-256 of their bytes in ``tests/golden/digests.json``.  The test never
+writes a golden.  After a deliberate output change, rewrite them with
+``PYTHONPATH=src python tests/golden/make_goldens.py``, which prints each
+changed file's max ulp difference, and each changed digest, for CHANGES.md.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -43,6 +45,17 @@ COMMANDS = {
                            "--generator", "{convex}"],
 }
 
+#: Output name -> CLI arguments for outputs pinned by digest only.  The last
+#: spans three 16 Ki blocks, so it runs the threaded iterate path, and
+#: several row chunks of the CSV writer.
+DIGEST_COMMANDS = {
+    "iterate_grid1001.csv": ["iterate", "--levels", "1,2,5,15", "--grid", "1001"],
+    "iterate_inverse_grid1001.csv": ["iterate", "--levels=-1,-2,-5,-15"],
+    "alpha_theta_grid1001.csv": ["alpha-theta", "--grid", "1001"],
+    "iterate_grid40000.csv": ["iterate", "--levels", "3,-3", "--grid", "40000"],
+}
+DIGEST_FILE = GOLDEN_DIR / "digests.json"
+
 
 def render(name: str, directory: Path) -> bytes:
     """Run the command of golden ``name`` with its inputs in ``directory``; return its output."""
@@ -50,7 +63,7 @@ def render(name: str, directory: Path) -> bytes:
     for key, obj in INPUTS.items():
         paths[key] = directory / f"{key}.json"
         paths[key].write_text(json.dumps(obj))
-    args = [arg.format_map(paths) for arg in COMMANDS[name]]
+    args = [arg.format_map(paths) for arg in {**COMMANDS, **DIGEST_COMMANDS}[name]]
     out = directory / name
     code = run(args + ["--out", str(out)])
     if code != 0:
@@ -61,3 +74,12 @@ def render(name: str, directory: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_matches_golden(name, tmp_path):
     assert render(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_COMMANDS))
+def test_cli_output_matches_digest(name, tmp_path):
+    assert digest(render(name, tmp_path)) == json.loads(DIGEST_FILE.read_text())[name]

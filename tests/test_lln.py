@@ -73,7 +73,9 @@ def test_pmf_beyond_the_float_range_raises():
     big = LevelBinomial(N=1030, p=0.5)
     assert pmf(big, 0) == 0.5**1030
     for call in (lambda: pmf(big, 515), lambda: pmf_base_vector(big),
-                 lambda: pmf(LevelBinomial(N=10**6, p=0.3), 300_000)):
+                 lambda: pmf(LevelBinomial(N=10**6, p=0.3), 300_000),
+                 # np.arange(N + 1) raised a raw ValueError before any check
+                 lambda: pmf_base_vector(LevelBinomial(N=10**20, p=0.3))):
         with pytest.raises(DomainError, match="N <= 1029"):
             call()
 
