@@ -5,11 +5,11 @@ never rendered plots, and is byte-identical for identical (config, seed).
 Each command takes ``--out``; the six that evaluate g^k take ``--generator``,
 and only the stochastic ``lln-sim`` takes ``--seed``.
 Angles are radians unless suffixed with ``deg``.  Exit codes: 0 success,
-2 validation failure, 3 numeric failure.
+2 validation failure (an unwritable ``--out`` included), 3 numeric failure.
 
 A CSV table is written from its columns: each float column is tested for
-finiteness once, and one row template formats the rows a few thousand at a
-time, so a large grid never holds all its cells as Python floats at once.
+finiteness before the output opens, and one row template formats and writes
+a few thousand rows at a time, so a large grid never holds all its cells.
 """
 
 from __future__ import annotations
@@ -57,24 +57,26 @@ def _parse_probs(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad probability list {text!r}") from exc
 
 
-def _write(out_path, text: str) -> None:
+def _write(out_path, text) -> None:
+    """Write a str, or an iterable of str chunks one at a time, to out_path or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 #: rows formatted per chunk by _csv
 _CSV_CHUNK_ROWS = 4096
 
 
-def _csv(header: list[str], columns: list) -> str:
-    """CSV text of equal-length columns.
+def _csv(header: list[str], columns: list):
+    """CSV text of equal-length columns, as a lazy iterable of str chunks.
 
     An ndarray column holds float64 values, written as ``%.17g``; any other
     sequence holds ints, written as ``%d``.  A non-finite float raises
-    QuadratureError with the first such value in row order as its estimate.
+    QuadratureError at once, with the first one in row order as its estimate.
     """
     floats = [c for c in columns if isinstance(c, np.ndarray)]
     if not all(np.isfinite(c).all() for c in floats):
@@ -82,12 +84,15 @@ def _csv(header: list[str], columns: list) -> str:
         raise QuadratureError("non-finite value in output",
                               estimate=float(cells[~np.isfinite(cells)][0]))
     row = ",".join(_FLOAT_FMT if isinstance(c, np.ndarray) else "%d" for c in columns) + "\n"
-    parts = [",".join(header) + "\n"]
-    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-        chunk = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
-        chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
-        parts.append("".join(map(row.__mod__, zip(*chunk))))
-    return "".join(parts)
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
+            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+            yield "".join(map(row.__mod__, zip(*chunk)))
+
+    return chunks()
 
 
 def _json_text(obj) -> str:
@@ -101,7 +106,7 @@ def _egen(args) -> ExtendedGenerator:
     return ExtendedGenerator(load_generator(args.generator))
 
 
-def _cmd_iterate(args) -> str:
+def _cmd_iterate(args):
     if args.grid < 2:
         raise NncalcError("grid must have at least 2 points")
     egen = _egen(args)
@@ -110,7 +115,7 @@ def _cmd_iterate(args) -> str:
                 [ps] + [egen.iterate(ps, k) for k in args.levels])
 
 
-def _cmd_alpha_theta(args) -> str:
+def _cmd_alpha_theta(args):
     if args.grid < 2:
         raise NncalcError("grid must have at least 2 points")
     thetas = np.linspace(0.0, math.pi, args.grid)
@@ -122,7 +127,7 @@ def _cmd_bell_scan(args) -> str:
     return _json_text(report.to_json_dict())
 
 
-def _cmd_lln(args) -> str:
+def _cmd_lln(args):
     if args.n_min > args.n_max:
         raise NncalcError("--n-min must not exceed --n-max")
     rows = lln.fig3_table(args.levels, range(args.n_min, args.n_max + 1), args.eps,
@@ -137,7 +142,7 @@ def _cmd_lln_sim(args) -> str:
     return _json_text(report.to_json_dict())
 
 
-def _cmd_singlet(args) -> str:
+def _cmd_singlet(args):
     table = probability.singlet_table(args.theta)
     return _csv(["a", "b", "p"], [(0, 0, 1, 1), (0, 1, 0, 1), table.ravel()])
 
@@ -258,14 +263,13 @@ _PARSER = build_parser()
 def run(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        text = args.fn(args)
+        _write(args.out, args.fn(args))  # args.fn runs every check before the output opens
     except QuadratureError as exc:
         print(f"nncalc: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (NncalcError, ValueError, OSError) as exc:
         print(f"nncalc: {exc}", file=sys.stderr)
         return 2
-    _write(args.out, text)
     return 0
 
 

@@ -159,6 +159,7 @@ def lifted_form_value(form: RealQuadraticForm, a,
     if not all(np.isfinite(v).all() for v in parts):
         raise DomainError("lifted form: a component or coefficient is not finite")
     x, y, xx, yy, xy = (egen.iterate(egen.forward(v), -1) for v in parts)
-    terms = [x[:, None] * xx * x, y[:, None] * yy * y, x[:, None] * xy * y]
+    with np.errstate(over="ignore", invalid="ignore"):  # _sum_push rejects a non-finite sum
+        terms = [x[:, None] * xx * x, y[:, None] * yy * y, x[:, None] * xy * y]
     return _sum_push(ArithmeticContext(egen, 1), "lifted_form_value",
                      np.concatenate(terms, axis=None).tolist())

@@ -67,10 +67,10 @@ class Generator:
     halves in lock-step, so each block stops on the same round.)  It may
     also call them on several threads at once, each on its own disjoint
     block, so a map with unsynchronised state, such as a call counter,
-    breaks this contract.  The sine generator maps a finite scalar to a
-    builtin ``float`` that is bitwise equal to the corresponding element of
-    the array result.  Values are immutable after construction and safe to
-    share across threads.
+    breaks this contract.  Every g_R^k folds once, g^k(f) = 1 - g^k(1 - f),
+    and steps a non-sine map on t <= 1/2 only.  The sine generator maps a
+    finite scalar to a builtin ``float`` bitwise equal to its element of the
+    array result.  Values are immutable and safe to share across threads.
     """
 
     name: str
@@ -121,17 +121,32 @@ def _asin_sqrt_half(t):
     return t
 
 
+def _sin2_half_float(t: float) -> float:
+    """:func:`_sin2_half` on a float, bitwise."""
+    s = math.sin(t * _HALF_PI)
+    return s * s  # arrays square as x*x; a float's ** 2 calls pow()
+
+
+def _asin_sqrt_half_float(t: float) -> float:
+    """:func:`_asin_sqrt_half` on a float, bitwise."""
+    # t > 0.0 rather than max(): numpy's maximum maps -0.0 to +0.0
+    return _TWO_OVER_PI * float(np.arcsin(math.sqrt(t if t > 0.0 else 0.0)))
+
+
+def _fold_float(half: Callable, p: float, steps: int) -> float:
+    """:func:`_fold_iterate` on a float p, bitwise; a t on 1/2 stays pinned there."""
+    upper = p > 0.5
+    t = 1.0 - p if upper else p
+    while steps and t != 0.5:  # a for over range() costs a one-step call 0.1 us
+        t = half(t)
+        steps -= 1
+    return float(1.0 - t if upper else t)
+
+
 def _sine_forward(p):
     """The sine generator g(p) = sin^2(pi p / 2), see :func:`make_sine_generator`."""
     if _is_finite_scalar(p):
-        p = float(p)  # a numpy float32 would keep the arithmetic in float32
-        if p == 0.5:
-            return 0.5
-        if p < 0.5:
-            s = math.sin(_HALF_PI * p)
-            return s * s  # arrays square as x*x; a float's ** 2 calls pow()
-        s = math.sin(_HALF_PI * (1.0 - p))
-        return 1.0 - s * s
+        return _fold_float(_sin2_half_float, float(p), 1)  # float32 would compute in float32
     p = np.asarray(p, dtype=float)
     return _unfold(p, _sin2_half(_fold(p)))
 
@@ -139,14 +154,7 @@ def _sine_forward(p):
 def _sine_inverse(P):
     """Its inverse (2/pi) arcsin(sqrt(P)), see :func:`make_sine_generator`."""
     if _is_finite_scalar(P):
-        P = float(P)
-        if P == 0.5:
-            return 0.5
-        if P < 0.5:
-            # P > 0.0 rather than max(): numpy's maximum maps -0.0 to +0.0
-            return _TWO_OVER_PI * float(np.arcsin(math.sqrt(P if P > 0.0 else 0.0)))
-        Q = 1.0 - P
-        return 1.0 - _TWO_OVER_PI * float(np.arcsin(math.sqrt(Q if Q > 0.0 else 0.0)))
+        return _fold_float(_asin_sqrt_half_float, float(P), 1)
     P = np.asarray(P, dtype=float)
     return _unfold(P, _asin_sqrt_half(_fold(P)))
 
@@ -159,8 +167,7 @@ def make_sine_generator() -> Generator:
     three fixed points 0, 1/2, 1 exact in floating point and gives full
     relative accuracy near both endpoints, where naive shifted-sine forms
     cancel catastrophically.  The inverse (2/pi) arcsin(sqrt(P)) is closed
-    form, mirrored the same way.  Finite scalars take the same branches
-    without building an array.
+    form, mirrored the same way.
 
     Arrays fold, evaluate once and unfold: r = sin^2(pi t/2) on
     t = min(p, 1 - p), then r (1 - 2c) + c with c = 1 above 1/2 and 0
@@ -168,15 +175,13 @@ def make_sine_generator() -> Generator:
     p selects, and r * 1 + 0 = r (r is never -0.0) and r * -1 + 1 = 1 - r
     hold exactly, so the result is bitwise the two-branch form.  That costs
     one sine per element and no data-dependent select (``np.where`` on a
-    mixed mask costs about half a sine).  The array forward and inverse are
-    exactly fold, half map, unfold, ``_unfold(p, half(_fold(p)))`` with the
-    half maps ``_sin2_half`` and ``_asin_sqrt_half``, so sin^2 and arcsin
-    sqrt each have one array implementation, which the iterate loop of
-    :class:`ExtendedGenerator` shares.
-
-    ``math.sin`` and ``math.sqrt`` agree with numpy bitwise (the
-    equivalence tests check this); ``math.asin`` does not, so arcsin stays
-    on numpy's ufunc.
+    mixed mask costs about half a sine).  The half maps ``_sin2_half`` and
+    ``_asin_sqrt_half`` are the one array form of sin^2 and arcsin sqrt,
+    which the iterate loop of :class:`ExtendedGenerator` shares.  Finite
+    scalars go through the shared scalar fold :func:`_fold_float` with the
+    float half maps; ``math.sin`` and ``math.sqrt`` agree with numpy bitwise
+    (the equivalence tests check this), ``math.asin`` does not, so arcsin
+    stays on numpy's ufunc.
     """
     return Generator("sine", _sine_forward, _sine_inverse)
 
@@ -201,8 +206,9 @@ def _bisect_increasing(fn: Callable, y):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     x = 0.5 * (lo + hi)
-    # the endpoints are known exactly for any bijection of this class
+    # the endpoints and 1/2 are known exactly for any bijection of this class
     x = np.where(y == 0.0, 0.0, x)
+    x = np.where(y == 0.5, 0.5, x)
     x = np.where(y == 1.0, 1.0, x)
     return np.where(np.isnan(y), y, x)  # every bracket test fails on a NaN
 
@@ -280,14 +286,9 @@ def h_view(gen: Generator, x):
     return float(out) if out.ndim == 0 else out
 
 
-#: the sine generator's maps and their half maps, the lower branch on [0, 1/2]
-_HALF = {_sine_forward: _sin2_half, _sine_inverse: _asin_sqrt_half}
-
-
-def _cell_scalar(fn: Callable, x: float) -> float:
-    """floor(x) + fn(x - floor(x)) on a finite float, without numpy."""
-    n = float(math.floor(x))
-    return n + float(fn(x - n))
+#: each sine map -> its half maps, the lower branch on [0, 1/2]: (float, in-place array)
+_HALF = {_sine_forward: (_sin2_half_float, _sin2_half),
+         _sine_inverse: (_asin_sqrt_half_float, _asin_sqrt_half)}
 
 
 def _fold_iterate(half: Callable, p, steps: int):
@@ -295,11 +296,11 @@ def _fold_iterate(half: Callable, p, steps: int):
 
     g^k is again a generator, so g^k(p) = 1 - g^k(1 - p): the block is
     folded once into t = min(p, 1 - p), runs ``steps`` bare half-map steps
-    and is unfolded once.  On t <= 1/2 the generator takes its lower
-    branch, the half map, and neither half map rises above 1/2 from below.
-    The inverse can land a lane on 1/2 exactly, and the generator pins a
-    lane there, though the inverse half map would send it 1 ulp up; a block
-    with a NaN lane takes the pinning branch too.
+    and is unfolded once.  ``half`` is any generator's map on t <= 1/2: a
+    sine half map, in place, or another generator's own map.  A lane can
+    land on 1/2, and the generator pins it there, though the sine inverse
+    half map would send it 1 ulp up; a NaN lane takes the pinning branch
+    too.  Before a lone step only lanes with p = 1/2 sit there; _unfold pins them.
 
     From ``_SORT_STEPS`` forward steps on, most lanes fall onto the
     plateau at 0, and the block is sorted once: s = t[order].  Before each
@@ -328,21 +329,20 @@ def _fold_iterate(half: Callable, p, steps: int):
         if m:
             low *= _HALF_PI
             low *= low
-        if live.size and not live.max() < 0.5:  # a NaN lane hides a lane at 1/2
-            pinned = live == 0.5
-            half(live)
+        # a NaN lane hides a lane at 1/2; numpy skips the copy of an in-place map onto itself
+        pinned = live == 0.5 if steps > 1 and live.size and not live.max() < 0.5 else None
+        live[...] = half(live)
+        if pinned is not None:
             live[pinned] = 0.5
-        else:
-            half(live)
     if order is not None:
         t[order] = s
     del s, low, live  # a sorted s and its views would stay alive through the unfold
     return _unfold(p, t)
 
 
-def _iterate_blocks(fn: Callable, half, steps: int, src, dst, first: int, stride: int) -> None:
-    """``steps`` >= 1 steps of g_R (fn, or half's fold loop) on the 1-d src,
-    written to dst: the blocks first, first + stride, first + 2 stride, ..."""
+def _iterate_blocks(half: Callable, steps: int, src, dst, first: int, stride: int) -> None:
+    """``steps`` >= 1 steps of g_R (half's fold loop) on the 1-d src, written
+    to dst: the blocks first, first + stride, first + 2 stride, ..."""
     for start in range(first * _BLOCK, src.size, stride * _BLOCK):
         f, n = src[start:start + _BLOCK], None
         # inside [0, 1) n is 0, f is x and n + r is r: the split is skipped
@@ -350,11 +350,7 @@ def _iterate_blocks(fn: Callable, half, steps: int, src, dst, first: int, stride
             with np.errstate(invalid="ignore"):  # inf - inf is NaN
                 n = np.floor(f)
                 f = f - n
-        if half is not None and steps >= 2:
-            f = _fold_iterate(half, f, steps)
-        else:
-            for _ in range(steps):
-                f = fn(f)
+        f = _fold_iterate(half, f, steps)
         if n is None:
             dst[start:start + _BLOCK] = f
         else:
@@ -415,12 +411,11 @@ class ExtendedGenerator:
     ``iterate`` composes g_R or its inverse in one loop.  It splits off
     n = floor(x) and f = x - n once, runs the |k| steps of g or g^-1 on f
     and adds n back once, so a result is rounded into its cell once, not
-    once per step.  For the sine generator the steps fold f once into
-    t = min(f, 1 - f), run the lower branch |k| times and unfold once, as
-    g^k(f) = 1 - g^k(1 - f): a scalar calls the base map on t, and an array
-    block at |k| >= 2 runs the fold loop (:func:`_fold_iterate`, which
-    sorts a block once at k >= 6).  Otherwise each step is one call of the
-    base map.
+    once per step.  The steps fold f once into t = min(f, 1 - f), run |k|
+    times on t <= 1/2 and unfold once, as g^k(f) = 1 - g^k(1 - f): a scalar
+    in :func:`_fold_float`, an array block in :func:`_fold_iterate`, which
+    sorts a sine block once at k >= 6.  The sine generator steps with its
+    half maps, any other generator with its own map.
 
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
@@ -447,41 +442,41 @@ class ExtendedGenerator:
 
     def __init__(self, base: Generator):
         self.base = base
+        # (float map, array map) on t <= 1/2, forward and inverse
+        self._up = _HALF.get(base.forward, (base.forward, base.forward))
+        self._down = _HALF.get(base.inverse, (base.inverse, base.inverse))
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"ExtendedGenerator({self.base.name!r})"
 
     def forward(self, x):
         if _is_finite_scalar(x):
-            return _cell_scalar(self.base.forward, float(x))
+            n = float(math.floor(x))
+            return n + _fold_float(self._up[0], float(x) - n, 1)
         return self.iterate(x, 1)
 
     def inverse(self, y):
         if _is_finite_scalar(y):
-            return _cell_scalar(self.base.inverse, float(y))
+            n = float(math.floor(y))
+            return n + _fold_float(self._down[0], float(y) - n, 1)
         return self.iterate(y, -1)
 
     def iterate(self, x, k: int):
         """k-fold self-composition g_R^k (inverse composition for k < 0), |k| <= LEVEL_CAP."""
         if abs(k) > LEVEL_CAP:
             raise LevelRangeError(f"|k| = {abs(k)} exceeds the iteration cap {LEVEL_CAP}")
-        fn = self.base.forward if k > 0 else self.base.inverse
+        half = self._up if k > 0 else self._down
         steps = abs(k)
         if _is_finite_scalar(x):
+            x = float(x)
             if not steps:
-                return float(x) + 0.0  # -0.0 -> 0.0, as arrays do
+                return x + 0.0  # -0.0 -> 0.0, as arrays do
             n = float(math.floor(x))
-            f = float(x) - n
-            upper = f > 0.5 and fn in _HALF  # a sine iterate folds once
-            t = 1.0 - f if upper else f
-            for _ in range(steps):
-                t = float(fn(t))
-            return n + (1.0 - t if upper else t)
+            return n + _fold_float(half[0], x - n, steps)
         arr = np.asarray(x, dtype=float)
         if not steps:
             out = arr + 0.0  # a copy, never the caller's array
         else:
-            half = _HALF.get(fn)
             out = np.empty(arr.shape)
             src, dst = arr.reshape(-1), out.reshape(-1)  # dst is a view of out
             blocks = -(-src.size // _BLOCK)
@@ -489,10 +484,10 @@ class ExtendedGenerator:
             if workers > 1:
                 # partial, not a lambda: a closure would turn iterate's locals
                 # into cells, which cost every scalar call about 0.3 us
-                _run_shares(partial(_iterate_blocks, fn, half, steps, src, dst, stride=workers),
+                _run_shares(partial(_iterate_blocks, half[1], steps, src, dst, stride=workers),
                             workers)
             else:
-                _iterate_blocks(fn, half, steps, src, dst, 0, 1)
+                _iterate_blocks(half[1], steps, src, dst, 0, 1)
         return float(out) if out.ndim == 0 else out
 
 

@@ -6,9 +6,11 @@ Run from the repository root::
 
 Every command of ``tests/test_golden.py`` is run again and its golden file
 rewritten.  For each file whose bytes changed, the largest difference in
-units in the last place between corresponding numbers is printed; a changed
-count of numbers is reported as a changed layout.  The SHA-256 pins of
-``digests.json`` are rewritten too, and each one that changed is printed.
+units in the last place between corresponding numbers is printed: per
+header column that moved for a CSV file of the same header and row lengths
+(``iterate_convex.csv: g1 2 ulp, g3 3 ulp``), else for the whole file, where
+a changed count of numbers is reported as a changed layout.  The SHA-256 pins
+of ``digests.json`` are rewritten too, and each one that changed is printed.
 """
 
 import json
@@ -40,6 +42,25 @@ def max_ulp_difference(old: bytes, new: bytes) -> int | None:
     return max((abs(_ordered(float(x)) - _ordered(float(y))) for x, y in zip(a, b)), default=0)
 
 
+def column_ulp_differences(old: bytes, new: bytes) -> dict[str, int] | None:
+    """Largest ulp distance per header column of two CSV texts, or None if their layout differs."""
+    old_rows, new_rows = ([line.split(b",") for line in text.splitlines()] for text in (old, new))
+    if old_rows[:1] != new_rows[:1] or list(map(len, old_rows)) != list(map(len, new_rows)):
+        return None
+    return {name.decode(): max_ulp_difference(b" ".join(r[i] for r in old_rows[1:]),
+                                              b" ".join(r[i] for r in new_rows[1:]))
+            for i, name in enumerate(old_rows[0])}
+
+
+def describe_move(name: str, old: bytes, new: bytes) -> str:
+    """How a golden moved: the ulps of each CSV column that moved, else the file maximum."""
+    columns = column_ulp_differences(old, new) if name.endswith(".csv") else None
+    if columns is not None and any(columns.values()):
+        return ", ".join(f"{col} {ulps} ulp" for col, ulps in columns.items() if ulps)
+    ulps = max_ulp_difference(old, new)
+    return "layout changed" if ulps is None else f"max {ulps} ulp"
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -53,8 +74,7 @@ def main() -> None:
             if old is None:
                 print(f"{name}: new")
                 continue
-            ulps = max_ulp_difference(old, new)
-            print(f"{name}: " + ("layout changed" if ulps is None else f"max {ulps} ulp"))
+            print(f"{name}: {describe_move(name, old, new)}")
         old = json.loads(DIGEST_FILE.read_text()) if DIGEST_FILE.exists() else {}
         new = {name: digest(render(name, Path(tmp))) for name in sorted(DIGEST_COMMANDS)}
         if old != new:

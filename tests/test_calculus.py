@@ -31,6 +31,20 @@ def test_integrate_base_complex_integrand():
     assert got == pytest.approx(2j, abs=1e-11)
 
 
+def _square(r):
+    return r * r
+
+
+def test_integrate_base_over_an_empty_or_reversed_interval():
+    assert integrate_base(_square, 0.3, 0.3) == 0.0
+    assert integrate_base(_square, 1.0, 0.0) == -integrate_base(_square, 0.0, 1.0)
+
+
+def test_integrate_base_rejects_a_non_finite_integral():
+    with pytest.raises(QuadratureError, match="quadrature produced a non-finite value"):
+        integrate_base(lambda r: 1e308, 0.0, 10.0)
+
+
 def test_value_is_the_composed_pipeline(sine_eg):
     fn = lf(sine_eg, math.exp, k=2, l=-1)
     x = 0.37

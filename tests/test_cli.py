@@ -291,7 +291,7 @@ def float_and_int_columns(draw):
 @example([np.array(EDGE_FLOATS), list(range(len(EDGE_FLOATS)))])
 def test_csv_matches_cell_by_cell_formatting(columns):
     header = [f"c{i}" for i in range(len(columns))]
-    assert cli._csv(header, columns) == reference_csv(header, columns)
+    assert "".join(cli._csv(header, columns)) == reference_csv(header, columns)
 
 
 def test_csv_across_row_chunk_edges():
@@ -299,7 +299,7 @@ def test_csv_across_row_chunk_edges():
     size = cli._CSV_CHUNK_ROWS
     for n in (1, size - 1, size, size + 1, 2 * size + 1):
         columns = [list(range(n)), rng.random(n), rng.normal(size=n) * 1e-310]
-        text = cli._csv(["n", "u", "tiny"], columns)
+        text = "".join(cli._csv(["n", "u", "tiny"], columns))
         assert text == reference_csv(["n", "u", "tiny"], columns), n
         assert text.count("\n") == n + 1
 
@@ -309,6 +309,42 @@ def test_csv_reports_the_first_non_finite_value_in_row_order():
     with pytest.raises(QuadratureError, match="non-finite value in output") as exc:
         cli._csv(["a", "b"], [np.array([1.0, math.nan]), np.array([-math.inf, 2.0])])
     assert exc.value.estimate == -math.inf
+
+
+def test_csv_is_made_chunk_by_chunk():
+    size = cli._CSV_CHUNK_ROWS
+    chunks = cli._csv(["n"], [list(range(2 * size + 1))])
+    assert not isinstance(chunks, str) and next(chunks) == "n\n"
+    assert [chunk.count("\n") for chunk in chunks] == [size, size, 1]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["iterate", "--levels", "1", "--grid", "1"], "grid must have at least 2 points"),
+    (["alpha-theta", "--grid", "1"], "grid must have at least 2 points"),
+    (["lln", "--levels", "1", "--eps", "0.1", "--n-min", "30", "--n-max", "25"],
+     "--n-min must not exceed --n-max"),
+], ids=("iterate-grid", "alpha-theta-grid", "lln-n-range"))
+def test_command_checks_exit_2(args, message, capsys):
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"nncalc: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["iterate", "--levels", "1,x"], "bad level list '1,x'"),
+    (["entropy", "--probs", "0.5,y", "--alpha", "2"], "bad probability list '0.5,y'"),
+], ids=("levels", "probs"))
+def test_malformed_lists_exit_2(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2 and message in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "x.csv"
+    assert run(["singlet", "--theta", "90deg", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nncalc: ") and "No such file or directory" in err, err
+    assert err.count("\n") == 1 and not out.parent.exists()
 
 
 def test_empty_level_list(tmp_path):
@@ -336,6 +372,21 @@ def test_non_finite_output_exits_3(monkeypatch, capsys):
     with pytest.raises(QuadratureError) as exc:
         args.fn(args)
     assert exc.value.estimate == -math.inf
+
+
+def test_non_finite_output_leaves_no_out_file(tmp_path, monkeypatch, capsys):
+    alpha_of_theta = probability.alpha_of_theta
+
+    def broken(thetas):
+        alphas = alpha_of_theta(thetas)
+        alphas[-1] = math.nan
+        return alphas
+
+    monkeypatch.setattr(probability, "alpha_of_theta", broken)
+    out = tmp_path / "alpha.csv"
+    assert run(["alpha-theta", "--grid", "11", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("nncalc: numeric failure: ")
+    assert not out.exists()
 
 
 def test_byte_determinism(tmp_path):

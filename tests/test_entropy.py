@@ -97,6 +97,12 @@ def test_alpha_one_continuity(rng):
     assert abs(renyi_closed(dist, 1.0 - 1e-6) - s) < 1e-5
 
 
+def test_renyi_closed_is_shannon_inside_its_window():
+    dist = Distribution([0.1, 0.2, 0.3, 0.4])
+    for alpha in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+        assert renyi_closed(dist, alpha) == shannon(dist)
+
+
 def test_additivity_for_products(rng):
     for _ in range(10):
         raw1 = rng.uniform(0.05, 1.0, size=3)

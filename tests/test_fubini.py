@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,21 @@ def test_lifted_form_rejects_non_finite():
                             re_im=np.zeros((2, 2)))
     with pytest.raises(DomainError, match="not finite"):
         lifted_form_value(bad, np.array([0.6, 0.8j]))
+
+
+def test_lifted_form_whose_terms_overflow():
+    # finite inputs whose terms overflow, to inf - inf or to inf * 0: the sum
+    # is rejected, and numpy warns of neither first
+    zero = np.zeros((2, 2))
+    cases = [(np.diag([1.0, -1.0]), [1e200, 1e200]),
+             (np.array([[0.0, 1e200], [0.0, 0.0]]), [1e200, 0.0])]
+    for re_re, a in cases:
+        form = RealQuadraticForm(re_re=re_re, im_im=zero, re_im=zero)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="is not finite"):
+                lifted_form_value(form, np.array(a))
+        assert not caught, [str(w.message) for w in caught]
 
 
 def test_lifted_form_dimensions_must_agree():

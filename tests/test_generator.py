@@ -200,6 +200,16 @@ def test_convex_inverse_bisection(sine_gen):
     assert combo.inverse(1.0) == 1.0
 
 
+@pytest.mark.parametrize("weights", ([0.3, 0.7], [0.5, 0.5]))
+def test_convex_inverse_fixes_one_half(sine_gen, weights):
+    # the first bisection midpoint is 1/2 and g(1/2) <= 1/2, so the search
+    # used to end in the middle of [1/2, 1/2 + 2**-47]
+    combo = convex_combine([sine_gen, make_identity_generator()], weights)
+    assert _bits(combo.inverse(0.5)) == _bits(0.5)
+    out = combo.inverse(np.array([0.25, 0.5, 0.75]))
+    assert _bits(out[1]) == _bits(0.5) and out[0] < 0.5 < out[2]
+
+
 def test_convex_inverse_of_empty_array():
     # an empty array has nothing to bisect; the convergence test must not reduce over it
     combo = convex_combine([make_sine_generator(), make_identity_generator()], [0.5, 0.5])
@@ -224,6 +234,19 @@ def test_validate_rejects_a_forward_that_leaves_the_unit_interval(sine_gen):
     validate_generator(combo)
 
 
+# validate_generator calls the maps on arrays only
+@pytest.mark.parametrize("forward,inverse,message", [
+    (lambda p: 0.5 * p + 0.25, lambda p: 2.0 * p - 0.5, "endpoints not fixed"),
+    (lambda p: np.where(np.abs(p - 0.5) < 0.1, 0.5, p), lambda p: p,
+     "forward not strictly increasing"),
+    (lambda p: p, lambda p: p * p, "inverse round-trip off by"),
+    (lambda p: p * p, np.sqrt, "complement equation violated"),
+], ids=["endpoints", "monotone", "round-trip", "complement"])
+def test_validate_names_the_invariant_that_fails(forward, inverse, message):
+    with pytest.raises(DomainError, match=f"^bad: {message}"):
+        validate_generator(Generator("bad", forward, inverse))
+
+
 def test_convex_validation():
     sine = make_sine_generator()
     with pytest.raises(DomainError):
@@ -234,6 +257,12 @@ def test_convex_validation():
         convex_combine([sine, sine], [0.7, 0.4])
     with pytest.raises(DomainError):
         convex_combine([sine, sine], [1.5, -0.5])
+
+
+def test_convex_needs_one_weight_per_generator():
+    sine = make_sine_generator()
+    with pytest.raises(DomainError, match="one weight per generator required"):
+        convex_combine([sine, sine], [1.0])
 
 
 def test_convex_rejects_nan_weights():
@@ -390,6 +419,13 @@ def test_load_generator_from_file(tmp_path):
     assert gen.name.startswith("convex")
     with pytest.raises(ConfigError):
         load_generator(str(tmp_path / "missing.json"))
+
+
+def test_load_generator_rejects_invalid_json(tmp_path):
+    path = tmp_path / "gen.json"
+    path.write_text('{"name": "convex",')
+    with pytest.raises(ConfigError, match="invalid JSON in generator config"):
+        load_generator(str(path))
 
 
 # ------------------------------------------------- scalar path against array path
@@ -869,17 +905,36 @@ def test_sorted_fold_loop_edge_blocks(k, fold_calls, monkeypatch):
 @pytest.mark.parametrize("k", BLOCK_LEVELS)
 def test_iterates_keep_the_complement_symmetry(k):
     # g^k is a generator, so g^k(p) = 1 - g^k(1 - p); for p in (1/2, 1),
-    # where 1 - p is exact, a lane folds once and the two sides agree bitwise
-    egen = sine_extended()
+    # where 1 - p is exact, a lane folds once and the two sides agree
+    # bitwise, for every generator
     xs, idx = _unit_sample()
     split = _split_sample()
     p = np.concatenate([xs, split])
     p = p[(p > 0.5) & (p < 1.0)]
     assert p.size > 30_000
-    assert _same_bits(egen.iterate(p, k), 1.0 - egen.iterate(1.0 - p, k)), k
     scalars = np.concatenate([xs[idx], split[::64], [math.nextafter(1.0, 0.0), 1.0 - 1e-9]])
-    for x in scalars[(scalars > 0.5) & (scalars < 1.0)].tolist():
-        assert _bits(egen.iterate(x, k)) == _bits(1.0 - egen.iterate(1.0 - x, k)), (k, x)
+    scalars = scalars[(scalars > 0.5) & (scalars < 1.0)]
+    for name, egen, levels in BLOCK_CASES:
+        if k not in levels:
+            continue
+        assert _same_bits(egen.iterate(p, k), 1.0 - egen.iterate(1.0 - p, k)), (name, k)
+        # a scalar convex inverse step is 47 bisection rounds on 0-d arrays,
+        # so the convex case checks every 16th scalar
+        for x in scalars[:: 16 if name == "convex" else 1].tolist():
+            assert _bits(egen.iterate(x, k)) == _bits(1.0 - egen.iterate(1.0 - x, k)), (name, k, x)
+
+
+@pytest.mark.parametrize("name,egen,levels", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+def test_iterates_fix_the_middle_of_every_cell(name, egen, levels):
+    # every g^k is a generator and fixes 1/2, so g_R^k fixes n + 1/2 bitwise
+    for n in (-2, 0, 3):
+        x = n + 0.5
+        outs = [egen.forward(x), egen.inverse(x), egen.forward(np.array([x])),
+                egen.inverse(np.array([x]))]
+        for k in (1, -1, 2, -2, 3, -3):
+            outs += [egen.iterate(x, k), egen.iterate(np.array([x, x]), k)]
+        for out in outs:
+            assert _same_bits(out, np.full(np.shape(out), x)), (name, x, out)
 
 
 def test_sine_is_the_identity_below_the_prefix_bound():

@@ -208,6 +208,11 @@ def test_tree_validation():
         CondTree(lopsided, 0)
 
 
+def test_cond_node_needs_two_children():
+    with pytest.raises(DomainError, match="exactly two children"):
+        CondNode(1, 0.5, 0.5, (CondNode(1, 0.5, 0.5),))
+
+
 def test_tree_path_errors():
     tree = coin_tree(levels=(1, 1), l=0)
     with pytest.raises(DomainError):
