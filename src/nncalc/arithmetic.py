@@ -44,7 +44,12 @@ class ArithmeticContext:
 
 def _pull_finite(egen: ExtendedGenerator, level: int, what: str, x: float) -> float:
     """g^-level(x) of a level-``level`` operand; a non-finite x is a DomainError."""
-    if not math.isfinite(x):  # the pull would turn inf into NaN, or keep it at level 0
+    try:
+        finite = math.isfinite(x)
+    except OverflowError as exc:  # an int beyond the float range, whose repr may be too long
+        raise DomainError(f"{what} at level {level}: an int operand of {x.bit_length()} bits "
+                          "lies beyond the float range") from exc
+    if not finite:  # the pull would turn inf into NaN, or keep it at level 0
         raise DomainError(f"{what} at level {level}: operand {x!r} is not finite")
     return egen.iterate(x, -level)
 

@@ -44,13 +44,16 @@ _SIN_IS_IDENTITY = 2.0**-27
 _SORT_STEPS = 6
 #: most workers an array call runs its blocks on (see ExtendedGenerator)
 _MAX_WORKERS = 2
-_BISECT_ROUNDS = 47  # bisection rounds; they leave brackets of [0,1] 2**-47 < 1e-14 wide
+_BISECT_ROUNDS = 46  # bisection rounds; they leave brackets of [0, 1/2] 2**-47 < 1e-14 wide
 _BAND_GRID = 1001  # points of the uniform grid of [0,1] that effective_band scans
 
 
 def _is_finite_scalar(x) -> bool:
-    """True for a finite Python or numpy real scalar; no array counts, not even 0-d."""
-    return isinstance(x, _SCALAR_TYPES) and math.isfinite(x)
+    """True for a finite real scalar, no array, not even 0-d; a huge int is a DomainError."""
+    try:
+        return isinstance(x, _SCALAR_TYPES) and math.isfinite(x)
+    except OverflowError as exc:  # its repr may exceed the int-to-str digit limit
+        raise DomainError(f"an int of {x.bit_length()} bits lies beyond the float range") from exc
 
 
 @dataclass(frozen=True)
@@ -62,13 +65,14 @@ class Generator:
     fraction x - floor(x) and never splits a step's result again.  They
     accept floats or numpy arrays and are elementwise: each output element
     depends on its own input element alone, so :class:`ExtendedGenerator`
-    may evaluate an array block by block.  (The
-    bisection inverse of :func:`convex_combine` qualifies: every bracket
-    halves in lock-step, so each block stops on the same round.)  It may
-    also call them on several threads at once, each on its own disjoint
-    block, so a map with unsynchronised state, such as a call counter,
-    breaks this contract.  Every g_R^k folds once, g^k(f) = 1 - g^k(1 - f),
-    and steps a non-sine map on t <= 1/2 only.  The sine generator maps a
+    may evaluate an array block by block.  (The bisection inverse of
+    :func:`convex_combine` qualifies: every bracket halves in lock-step, so
+    each block stops on the same round.)  It may also call them on several
+    threads at once, each on its own disjoint block, so a map with
+    unsynchronised state, such as a call counter, breaks this contract.
+    Every g_R^k folds once, g^k(f) = 1 - g^k(1 - f), and steps a map on
+    t <= 1/2 only.  The sine and convex maps are a lower branch and one
+    fold (``_Folded``): they keep the complement symmetry bitwise and map a
     finite scalar to a builtin ``float`` bitwise equal to its element of the
     array result.  Values are immutable and safe to share across threads.
     """
@@ -90,8 +94,11 @@ def _fold(p):
 def _unfold(p, r):
     """Mirror r = f(min(p, 1 - p)) back to f(p): r below 1/2, 1 - r above, 1/2 pinned.
 
-    One scratch array holds 1 - 2c and then c, which keeps the heap a block
-    smaller than two would.
+    As r (1 - 2c) + c with c = 1 above 1/2 and 0 elsewhere: r * 1 + 0 = r
+    (r is never -0.0) and r * -1 + 1 = 1 - r are exact, so this is bitwise
+    the two-branch form, without a data-dependent select (``np.where`` on a
+    mixed mask costs about half a sine).  One scratch array holds 1 - 2c and
+    then c, which keeps the heap a block smaller than two would.
     """
     t = np.greater(p, 0.5, out=np.empty(p.shape))  # c: 1.0 above 1/2, else 0.0
     t *= -2.0
@@ -143,45 +150,42 @@ def _fold_float(half: Callable, p: float, steps: int) -> float:
     return float(1.0 - t if upper else t)
 
 
-def _sine_forward(p):
-    """The sine generator g(p) = sin^2(pi p / 2), see :func:`make_sine_generator`."""
-    if _is_finite_scalar(p):
-        return _fold_float(_sin2_half_float, float(p), 1)  # float32 would compute in float32
-    p = np.asarray(p, dtype=float)
-    return _unfold(p, _sin2_half(_fold(p)))
+class _Folded:
+    """A generator map as its lower branch on [0, 1/2] and one fold, g(p) = 1 - g(1 - p).
+
+    ``half`` is the branch as (float map, array map that may work in place): a
+    finite scalar takes :func:`_fold_float`, all else :func:`_fold`, the array
+    map and :func:`_unfold`, which pins 1/2."""
+
+    def __init__(self, half_float: Callable, half_array: Callable):
+        self.half = (half_float, half_array)
+
+    def __call__(self, p):
+        if _is_finite_scalar(p):
+            return _fold_float(self.half[0], float(p), 1)  # float32 would compute in float32
+        p = np.asarray(p, dtype=float)
+        return _unfold(p, self.half[1](_fold(p)))
 
 
-def _sine_inverse(P):
-    """Its inverse (2/pi) arcsin(sqrt(P)), see :func:`make_sine_generator`."""
-    if _is_finite_scalar(P):
-        return _fold_float(_asin_sqrt_half_float, float(P), 1)
-    P = np.asarray(P, dtype=float)
-    return _unfold(P, _asin_sqrt_half(_fold(P)))
+#: the sine generator's maps, see make_sine_generator
+_sine_forward = _Folded(_sin2_half_float, _sin2_half)
+_sine_inverse = _Folded(_asin_sqrt_half_float, _asin_sqrt_half)
 
 
 def make_sine_generator() -> Generator:
     """The trigonometric generator g(p) = sin^2(pi p / 2).
 
-    Evaluated piecewise through the mirror symmetry: sin^2(pi p/2) below
-    1/2 and 1 - sin^2(pi (1-p)/2) above, with 1/2 pinned.  This keeps the
-    three fixed points 0, 1/2, 1 exact in floating point and gives full
-    relative accuracy near both endpoints, where naive shifted-sine forms
-    cancel catastrophically.  The inverse (2/pi) arcsin(sqrt(P)) is closed
-    form, mirrored the same way.
-
-    Arrays fold, evaluate once and unfold: r = sin^2(pi t/2) on
-    t = min(p, 1 - p), then r (1 - 2c) + c with c = 1 above 1/2 and 0
-    elsewhere, and 1/2 pinned.  t is exactly the argument of the branch that
-    p selects, and r * 1 + 0 = r (r is never -0.0) and r * -1 + 1 = 1 - r
-    hold exactly, so the result is bitwise the two-branch form.  That costs
-    one sine per element and no data-dependent select (``np.where`` on a
-    mixed mask costs about half a sine).  The half maps ``_sin2_half`` and
-    ``_asin_sqrt_half`` are the one array form of sin^2 and arcsin sqrt,
-    which the iterate loop of :class:`ExtendedGenerator` shares.  Finite
-    scalars go through the shared scalar fold :func:`_fold_float` with the
-    float half maps; ``math.sin`` and ``math.sqrt`` agree with numpy bitwise
-    (the equivalence tests check this), ``math.asin`` does not, so arcsin
-    stays on numpy's ufunc.
+    Evaluated through the mirror symmetry: sin^2(pi p/2) below 1/2 and
+    1 - sin^2(pi (1-p)/2) above, with 1/2 pinned.  This keeps the three
+    fixed points 0, 1/2, 1 exact in floating point and gives full relative
+    accuracy near both endpoints, where naive shifted-sine forms cancel
+    catastrophically.  The inverse (2/pi) arcsin(sqrt(P)) is closed form,
+    mirrored the same way.  Both maps are :class:`_Folded` over the half
+    maps, the one form of sin^2 and arcsin sqrt, which the iterate loop of
+    :class:`ExtendedGenerator` steps as well: one sine per element.  The
+    float half maps agree with the array ones bitwise: ``math.sin`` and
+    ``math.sqrt`` match numpy (the equivalence tests check this),
+    ``math.asin`` does not, so arcsin stays on numpy's ufunc.
     """
     return Generator("sine", _sine_forward, _sine_inverse)
 
@@ -195,31 +199,30 @@ def make_identity_generator() -> Generator:
     return Generator("identity", identity, identity)
 
 
-def _bisect_increasing(fn: Callable, y):
-    """Solve fn(x) = y for increasing fn on [0,1], vectorized bisection."""
-    y = np.asarray(y, dtype=float)
-    lo = np.zeros_like(y)
-    hi = np.ones_like(y)
+def _bisect_increasing(fn: Callable, t):
+    """Solve fn(x) = t for fn increasing on [0, 1/2] and t in [0, 1/2], vectorized
+    bisection; always an ndarray, 0-d for a scalar t."""
+    t = np.asarray(t, dtype=float)
+    lo = np.zeros_like(t)
+    hi = np.full_like(t, 0.5)
     for _ in range(_BISECT_ROUNDS):
         mid = 0.5 * (lo + hi)
-        below = np.asarray(fn(mid)) <= y
+        below = np.asarray(fn(mid)) <= t
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     x = 0.5 * (lo + hi)
-    # the endpoints and 1/2 are known exactly for any bijection of this class
-    x = np.where(y == 0.0, 0.0, x)
-    x = np.where(y == 0.5, 0.5, x)
-    x = np.where(y == 1.0, 1.0, x)
-    return np.where(np.isnan(y), y, x)  # every bracket test fails on a NaN
+    x = np.where(t == 0.0, 0.0, x)  # every bisection stops short of 0; the fold handles 1/2 and 1
+    return np.where(np.isnan(t), t, x)  # every bracket test fails on a NaN
 
 
 def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Generator:
     """Convex combination sum_j w_j g_j, again a valid generator.
 
-    The combination of odd parts stays odd, so the complement symmetry is
-    inherited.  No closed-form inverse exists in general; the inverse is
-    computed by bisection, which monotonicity guarantees to converge: each
-    of the ``_BISECT_ROUNDS`` rounds halves every bracket exactly.
+    Odd parts combine to an odd part, so each map is its lower branch on
+    [0, 1/2] and one fold, as the sine's are.  The weights must sum to 1
+    within 1e-12 and are divided by their sum, so the branch meets 1/2 at
+    1/2.  The inverse branch bisects [0, 1/2]; monotonicity makes it
+    converge, as each of the ``_BISECT_ROUNDS`` rounds halves every bracket.
     """
     gens = list(gens)
     try:
@@ -233,24 +236,23 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
     # written so that a NaN fails; weights in [0, 1] also keep fsum from overflowing
     if not all(0.0 <= w <= 1.0 for w in weights):
         raise DomainError("weights must lie in [0, 1]")
-    if not abs(math.fsum(weights) - 1.0) <= 1e-12:
-        raise DomainError(f"weights must sum to 1, got {math.fsum(weights)!r}")
+    total = math.fsum(weights)
+    if not abs(total - 1.0) <= 1e-12:
+        raise DomainError(f"weights must sum to 1, got {total!r}")
 
     gen_tuple = tuple(gens)
-    w_tuple = tuple(weights)
+    w_tuple = tuple(w / total for w in weights)
 
-    def forward(p):
-        p = np.asarray(p, dtype=float)
-        acc = w_tuple[0] * np.asarray(gen_tuple[0].forward(p))
+    def lower(t):
+        acc = w_tuple[0] * np.asarray(gen_tuple[0].forward(t))
         for g, w in zip(gen_tuple[1:], w_tuple[1:]):
-            acc = acc + w * np.asarray(g.forward(p))
-        return np.minimum(acc, 1.0)  # weights summing to 1 + 1e-12 could overshoot
+            acc = acc + w * np.asarray(g.forward(t))
+        return np.asarray(acc)  # a 0-d product is a numpy scalar, and _unfold writes into it
 
-    def inverse(P):
-        return _bisect_increasing(forward, P)
-
+    lower_inverse = partial(_bisect_increasing, lower)
     names = ",".join(g.name for g in gen_tuple)
-    return Generator(f"convex({names})", forward, inverse)
+    return Generator(f"convex({names})", _Folded(lower, lower),
+                     _Folded(lower_inverse, lower_inverse))
 
 
 def validate_generator(gen: Generator, grid_points: int = 10_000, tol: float = 1e-12) -> None:
@@ -286,21 +288,17 @@ def h_view(gen: Generator, x):
     return float(out) if out.ndim == 0 else out
 
 
-#: each sine map -> its half maps, the lower branch on [0, 1/2]: (float, in-place array)
-_HALF = {_sine_forward: (_sin2_half_float, _sin2_half),
-         _sine_inverse: (_asin_sqrt_half_float, _asin_sqrt_half)}
-
-
 def _fold_iterate(half: Callable, p, steps: int):
     """``steps`` >= 1 steps of a generator on a 1-d block p inside [0, 1], as a new array.
 
     g^k is again a generator, so g^k(p) = 1 - g^k(1 - p): the block is
     folded once into t = min(p, 1 - p), runs ``steps`` bare half-map steps
-    and is unfolded once.  ``half`` is any generator's map on t <= 1/2: a
-    sine half map, in place, or another generator's own map.  A lane can
-    land on 1/2, and the generator pins it there, though the sine inverse
-    half map would send it 1 ulp up; a NaN lane takes the pinning branch
-    too.  Before a lone step only lanes with p = 1/2 sit there; _unfold pins them.
+    and is unfolded once.  ``half`` is a generator's array map on t <= 1/2:
+    a folded map's lower branch (the sine's works in place), else the map
+    itself.  A lane can land on 1/2, and the generator pins it there, though
+    the sine inverse half map would send it 1 ulp up; a NaN lane takes the
+    pinning branch too.  Before a lone step only lanes with p = 1/2 sit
+    there; _unfold pins them.
 
     From ``_SORT_STEPS`` forward steps on, most lanes fall onto the
     plateau at 0, and the block is sorted once: s = t[order].  Before each
@@ -414,8 +412,8 @@ class ExtendedGenerator:
     once per step.  The steps fold f once into t = min(f, 1 - f), run |k|
     times on t <= 1/2 and unfold once, as g^k(f) = 1 - g^k(1 - f): a scalar
     in :func:`_fold_float`, an array block in :func:`_fold_iterate`, which
-    sorts a sine block once at k >= 6.  The sine generator steps with its
-    half maps, any other generator with its own map.
+    sorts a sine block once at k >= 6.  A folded map (sine, convex) steps
+    with its lower branch, any other map with itself.
 
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
@@ -442,9 +440,10 @@ class ExtendedGenerator:
 
     def __init__(self, base: Generator):
         self.base = base
-        # (float map, array map) on t <= 1/2, forward and inverse
-        self._up = _HALF.get(base.forward, (base.forward, base.forward))
-        self._down = _HALF.get(base.inverse, (base.inverse, base.inverse))
+        # (float map, array map) on t <= 1/2: a folded map's lower branch, else the map
+        fwd, inv = base.forward, base.inverse
+        self._up = fwd.half if isinstance(fwd, _Folded) else (fwd, fwd)
+        self._down = inv.half if isinstance(inv, _Folded) else (inv, inv)
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"ExtendedGenerator({self.base.name!r})"

@@ -11,6 +11,7 @@ header column that moved for a CSV file of the same header and row lengths
 (``iterate_convex.csv: g1 2 ulp, g3 3 ulp``), else for the whole file, where
 a changed count of numbers is reported as a changed layout.  The SHA-256 pins
 of ``digests.json`` are rewritten too, and each one that changed is printed.
+When nothing moved, the one line ``all goldens and digests unchanged`` is.
 """
 
 import json
@@ -63,6 +64,7 @@ def describe_move(name: str, old: bytes, new: bytes) -> str:
 
 def main() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
+    moved = False
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(COMMANDS):
             path = GOLDEN_DIR / name
@@ -71,6 +73,7 @@ def main() -> None:
             if old == new:
                 continue
             path.write_bytes(new)
+            moved = True
             if old is None:
                 print(f"{name}: new")
                 continue
@@ -79,9 +82,12 @@ def main() -> None:
         new = {name: digest(render(name, Path(tmp))) for name in sorted(DIGEST_COMMANDS)}
         if old != new:
             DIGEST_FILE.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+            moved = True
         for name in sorted(new):
             if old.get(name) != new[name]:
                 print(f"{DIGEST_FILE.name}: {name} " + ("new" if name not in old else "changed"))
+    if not moved:
+        print("all goldens and digests unchanged")
 
 
 if __name__ == "__main__":

@@ -349,6 +349,20 @@ def test_level_sum_of_opposite_infinities_raises(sine_eg, level):
 
 
 @pytest.mark.parametrize("level", [0, 1, -1])
+def test_an_int_operand_beyond_the_float_range_raises(sine_eg, level):
+    # math.isfinite cannot convert it; its repr would be 401 digits long
+    ctx = ctx_at(sine_eg, level)
+    calls = [lambda: arith(ctx, "add", 10**400, 1),
+             lambda: arith(ctx, "mul", 0.5, -10**400),
+             lambda: level_sum(ctx, [0.5, 10**400]),
+             lambda: level_prod(ctx, [10**400, 0.5]),
+             lambda: power(ctx, 10**400, 2)]
+    for call in calls:
+        with pytest.raises(DomainError, match="int operand of 1329 bits lies beyond the float range"):
+            call()
+
+
+@pytest.mark.parametrize("level", [0, 1, -1])
 def test_level_sum_finite_despite_partial_overflow(sine_eg, level):
     # fsum overflows on the partial sum 2e308, but the exact sum is 1e308;
     # integers are fixed at every level, so the pullbacks are the operands

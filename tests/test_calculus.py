@@ -151,6 +151,19 @@ def test_level_maps_reject_non_finite(sine_eg, call):
         call(sine_eg)
 
 
+@pytest.mark.parametrize("call", [
+    lambda eg: nn_exp(eg, 1, 1, 10**400),
+    lambda eg: nn_ln(eg, 0, 1, 10**400),
+    lambda eg: lf(eg, math.sin, k=1).value(10**400),
+    lambda eg: lf(eg, math.sin).value(-10**400),
+    lambda eg: nn_derivative(lf(eg, math.sin, k=-1), 10**400),
+    lambda eg: nn_integral(lf(eg, math.sin, k=1), 0.0, 10**400),
+], ids=["exp", "ln", "value-level1", "value-level0", "derivative", "integral"])
+def test_level_maps_reject_an_int_beyond_the_float_range(sine_eg, call):
+    with pytest.raises(DomainError, match="beyond the float range"):
+        call(sine_eg)
+
+
 def test_exp_ln_inverse(sine_eg, rng):
     checked = 0
     for _ in range(40):

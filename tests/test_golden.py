@@ -5,11 +5,14 @@ its golden file fails.  Outputs too big to commit are pinned instead by the
 SHA-256 of their bytes in ``tests/golden/digests.json``.  The test never
 writes a golden.  After a deliberate output change, rewrite them with
 ``PYTHONPATH=src python tests/golden/make_goldens.py``, which prints each
-changed file's max ulp difference, and each changed digest, for CHANGES.md.
+changed file's max ulp difference, and each changed digest, or that nothing
+moved, for CHANGES.md.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,23 @@ def digest(data: bytes) -> str:
 @pytest.mark.parametrize("name", sorted(DIGEST_COMMANDS))
 def test_cli_output_matches_digest(name, tmp_path):
     assert digest(render(name, tmp_path)) == json.loads(DIGEST_FILE.read_text())[name]
+
+
+def test_make_goldens_says_when_nothing_moved(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends the tests directory
+    spec = importlib.util.spec_from_file_location("make_goldens", GOLDEN_DIR / "make_goldens.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(tool, "DIGEST_FILE", tmp_path / "digests.json")
+    monkeypatch.setattr(tool, "COMMANDS", {"a.txt": []})
+    monkeypatch.setattr(tool, "DIGEST_COMMANDS", {"b.csv": []})
+    outputs = {"a.txt": b"0.5\n", "b.csv": b"x\n1\n"}
+    monkeypatch.setattr(tool, "render", lambda name, tmp: outputs[name])
+    tool.main()
+    assert capsys.readouterr().out == "a.txt: new\ndigests.json: b.csv new\n"
+    tool.main()
+    assert capsys.readouterr().out == "all goldens and digests unchanged\n"
+    outputs["a.txt"] = b"0.5000000000000001\n"
+    tool.main()
+    assert capsys.readouterr().out == "a.txt: max 1 ulp\n"
