@@ -25,16 +25,13 @@ from .generator import (
     BandReport,
     ExtendedGenerator,
     Generator,
-    clamp_count,
     convex_combine,
     effective_band,
-    eval_iterate,
     generator_from_config,
     h_view,
     load_generator,
     make_identity_generator,
     make_sine_generator,
-    reset_clamp_count,
     sine_extended,
     validate_generator,
 )

@@ -80,10 +80,8 @@ def _exact_sum(values: list) -> float:
     on a partial sum; inf when the sum itself overflows."""
     if not all(map(math.isfinite, values)):
         return sum(values)  # not finite either way
-    ratios = [v.as_integer_ratio() for v in values]  # power-of-2 denominators
-    den = max(d for _, d in ratios)
-    # int / int rounds correctly, as fsum does
-    return _inf_on_overflow(operator.truediv, sum(n * (den // d) for n, d in ratios), den)
+    from fractions import Fraction  # here, not at the top: it imports decimal, slow to load
+    return _inf_on_overflow(float, sum(map(Fraction, values)))  # one correct rounding, as fsum
 
 
 def _sum_push(ctx: ArithmeticContext, what: str, pulled: list) -> float:

@@ -76,8 +76,7 @@ class ConditionedDensity:
     condition: HalfCircleChar
 
     def value(self, lam):
-        ind = self.condition.indicator(lam)
-        return ind / math.pi if np.ndim(ind) == 0 else np.asarray(ind) / math.pi
+        return self.condition.indicator(lam) / math.pi
 
     def total(self) -> float:
         """Integral over the full circle: the half circle's own overlap over pi."""
@@ -135,9 +134,12 @@ class AngleQuad(NamedTuple):
     b_prime: float
 
 
-def _conditional(delta) -> float:
-    """Level-1 conditional between two settings: cos^2(reduced/2)."""
-    return math.cos(0.5 * reduced_angle(delta)) ** 2
+def _conditionals(quad) -> list[float]:
+    """The level-1 conditionals t(a,b), t(a,b'), t(a',b), t(a',b') of a quad,
+    each cos^2(d/2) of its settings' reduced separation d."""
+    a, a_prime, b, b_prime = AngleQuad(*quad)
+    red = reduced_angle([a - b, a - b_prime, a_prime - b, a_prime - b_prime])
+    return [math.cos(0.5 * d) ** 2 for d in red.tolist()]
 
 
 def ch_value_level1(quad: AngleQuad, egen: ExtendedGenerator = sine_extended()) -> float:
@@ -147,12 +149,8 @@ def ch_value_level1(quad: AngleQuad, egen: ExtendedGenerator = sine_extended()) 
     t = cos^2(delta/2); with the unit-periodic (integer-fixing) extension
     the value provably lies in [0, 2] for every quad.
     """
-    quad = AngleQuad(*quad)
+    t1, t2, t3, t4 = _conditionals(quad)
     ctx = ArithmeticContext(egen, 1)
-    t1 = _conditional(quad.a - quad.b)
-    t2 = _conditional(quad.a - quad.b_prime)
-    t3 = _conditional(quad.a_prime - quad.b)
-    t4 = _conditional(quad.a_prime - quad.b_prime)
     acc = arith(ctx, "sub", t1, t2)
     acc = arith(ctx, "add", acc, t3)
     return arith(ctx, "add", acc, t4)
@@ -160,11 +158,8 @@ def ch_value_level1(quad: AngleQuad, egen: ExtendedGenerator = sine_extended()) 
 
 def ch_value_level0(quad: AngleQuad) -> float:
     """The same four-term combination with ordinary +/- (not bounded by [0,2])."""
-    quad = AngleQuad(*quad)
-    return (_conditional(quad.a - quad.b)
-            - _conditional(quad.a - quad.b_prime)
-            + _conditional(quad.a_prime - quad.b)
-            + _conditional(quad.a_prime - quad.b_prime))
+    t1, t2, t3, t4 = _conditionals(quad)
+    return t1 - t2 + t3 + t4
 
 
 TSIRELSON = 1.0 + math.sqrt(2.0)

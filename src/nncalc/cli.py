@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -29,13 +30,6 @@ from .generator import ExtendedGenerator, load_generator
 _FLOAT_FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise QuadratureError("non-finite value in output", estimate=x)
-    return _FLOAT_FMT % x
-
-
 def _parse_angle(text: str) -> float:
     text = text.strip()
     if text.endswith("deg"):
@@ -43,18 +37,12 @@ def _parse_angle(text: str) -> float:
     return float(text)
 
 
-def _parse_levels(text: str) -> list[int]:
+def _parse_list(convert, what: str, text: str) -> list:
+    """A comma-separated list of ``convert`` values; empty items are skipped."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [convert(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad level list {text!r}") from exc
-
-
-def _parse_probs(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad probability list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad {what} list {text!r}") from exc
 
 
 def _write(out_path, text) -> None:
@@ -190,8 +178,9 @@ def _cmd_fubini(args) -> str:
 
 
 def _cmd_arith(args) -> str:
+    # arith rejects a non-finite base result, and g_R^k of a finite float is finite
     ctx = ArithmeticContext(_egen(args), args.level)
-    return _fmt(arith(ctx, args.op, args.x, args.y)) + "\n"
+    return _FLOAT_FMT % arith(ctx, args.op, args.x, args.y) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Data files for the hierarchy of arithmetics, its calculus, "
                     "and the associated probability experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
+    levels = partial(_parse_list, int, "level")
 
     def add(name, fn, help_text, generator=True):
         p = sub.add_parser(name, help=help_text)
@@ -210,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("iterate", _cmd_iterate, "columns p, g^k(p) on a uniform grid")
-    p.add_argument("--levels", type=_parse_levels, required=True)
+    p.add_argument("--levels", type=levels, required=True)
     p.add_argument("--grid", type=int, default=1001)
 
     p = add("alpha-theta", _cmd_alpha_theta, "the angle map between two hierarchy levels",
@@ -221,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_parse_angle, required=True)
 
     p = add("lln", _cmd_lln, "symmetric-coin deviation bounds per level and N")
-    p.add_argument("--levels", type=_parse_levels, required=True)
+    p.add_argument("--levels", type=levels, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
@@ -240,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_parse_angle, required=True)
 
     p = add("entropy", _cmd_entropy, "Renyi entropy of a finite distribution", generator=False)
-    p.add_argument("--probs", type=_parse_probs, required=True)
+    p.add_argument("--probs", type=partial(_parse_list, float, "probability"), required=True)
     p.add_argument("--alpha", type=float, required=True)
 
     p = add("fubini", _cmd_fubini, "geodesic angle, hidden probability, and ladder")

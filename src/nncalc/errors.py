@@ -10,7 +10,7 @@ class DomainError(NncalcError, ValueError):
 
 
 class LevelRangeError(NncalcError, ValueError):
-    """A requested iteration level exceeds the configured cap."""
+    """A requested iteration level is not an integer or exceeds the configured cap."""
 
 
 class ConfigError(NncalcError, ValueError):

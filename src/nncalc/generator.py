@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextvars
 import json
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -461,11 +462,14 @@ class ExtendedGenerator:
         return self.iterate(y, -1)
 
     def iterate(self, x, k: int):
-        """k-fold self-composition g_R^k (inverse composition for k < 0), |k| <= LEVEL_CAP."""
-        if abs(k) > LEVEL_CAP:
-            raise LevelRangeError(f"|k| = {abs(k)} exceeds the iteration cap {LEVEL_CAP}")
+        """k-fold self-composition g_R^k (inverse composition for k < 0), int |k| <= LEVEL_CAP."""
+        try:
+            steps = abs(operator.index(k))  # a float level would never count down to 0
+        except TypeError:
+            raise LevelRangeError(f"level {k!r} is not an integer") from None
+        if steps > LEVEL_CAP:
+            raise LevelRangeError(f"|k| = {steps} exceeds the iteration cap {LEVEL_CAP}")
         half = self._up if k > 0 else self._down
-        steps = abs(k)
         if _is_finite_scalar(x):
             x = float(x)
             if not steps:

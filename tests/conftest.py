@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import nncalc
 from nncalc.generator import (
     ExtendedGenerator,
     make_identity_generator,
@@ -60,3 +65,16 @@ def resolvable(*values, margin=1e-7):
     pushed intermediates clear the margin (1e-7 keeps the 1e-9 budgets).
     """
     return all(abs(v - round(v)) > margin for v in values)
+
+
+def run_python(code: str, timeout: float = 60.0) -> str:
+    """Run ``code`` in a fresh interpreter that imports this nncalc; return its
+    stdout.  A non-zero exit fails, and so does a run past ``timeout`` seconds,
+    so a call that hangs fails the test instead of stalling the suite."""
+    src = str(Path(nncalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nncalc import bell
+from nncalc.arithmetic import ArithmeticContext, arith
 from nncalc.bell import (
     AngleQuad,
     ChScanReport,
@@ -101,6 +102,8 @@ def test_conditioned_density():
     assert dens.total() == pytest.approx(1.0, abs=1e-12)
     assert dens.value(0.8) == pytest.approx(1.0 / math.pi, abs=1e-15)
     assert dens.value(0.8 + math.pi) == 0.0
+    assert type(dens.value(0.8)) is float
+    assert np.array_equal(dens.value(np.array([0.8, 0.8 + math.pi])), [1.0 / math.pi, 0.0])
     # conditional of a second outcome through the density
     other = HalfCircleChar(0.8 + 0.6)
     expected = (math.pi - 0.6) / math.pi
@@ -234,6 +237,37 @@ def test_ch_level0_values():
     assert ch_value_level0(same) == pytest.approx(2.0, abs=1e-12)
     anti = AngleQuad(0.0, 0.0, math.pi, math.pi)
     assert ch_value_level0(anti) == pytest.approx(0.0, abs=1e-12)
+
+
+def _one_conditional(delta):
+    return math.cos(0.5 * reduced_angle(delta)) ** 2
+
+
+def _ch_level0_oracle(q):
+    """The level-0 combination with one conditional call per term, as the oracle."""
+    return (_one_conditional(q.a - q.b) - _one_conditional(q.a - q.b_prime)
+            + _one_conditional(q.a_prime - q.b) + _one_conditional(q.a_prime - q.b_prime))
+
+
+def _ch_level1_oracle(q, egen):
+    """The level-1 combination with one conditional call per term, as the oracle."""
+    ctx = ArithmeticContext(egen, 1)
+    acc = arith(ctx, "sub", _one_conditional(q.a - q.b), _one_conditional(q.a - q.b_prime))
+    acc = arith(ctx, "add", acc, _one_conditional(q.a_prime - q.b))
+    return arith(ctx, "add", acc, _one_conditional(q.a_prime - q.b_prime))
+
+
+def test_ch_values_are_bitwise_the_termwise_formulas(sine_eg):
+    # the four conditionals are formed in one place for both levels; that
+    # must not move a bit, whether the quad comes as AngleQuad, tuple or list
+    rng = np.random.default_rng(20261019)
+    angles = np.concatenate([rng.uniform(-TWO_PI, 2.0 * TWO_PI, size=(900, 4)),
+                             rng.integers(-8, 17, size=(100, 4)) * (0.25 * math.pi)])
+    for row in angles.tolist():
+        q = AngleQuad(*row)
+        for quad in (q, tuple(row), row):
+            assert ch_value_level0(quad).hex() == _ch_level0_oracle(q).hex(), row
+            assert ch_value_level1(quad, sine_eg).hex() == _ch_level1_oracle(q, sine_eg).hex(), row
 
 
 def test_ch_level0_exceeds_level1_bound():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import resolvable
+import nncalc
+from conftest import resolvable, run_python
 from nncalc import generator
 from nncalc.errors import ConfigError, DomainError, LevelRangeError
 from nncalc.generator import (
@@ -103,6 +104,54 @@ def test_eval_iterate_cap(sine_eg):
         eval_iterate(sine_eg, 65, 0.3)
     with pytest.raises(LevelRangeError):
         sine_eg.iterate(0.3, -65)
+
+
+def test_a_non_integer_level_raises_on_the_scalar_path():
+    # a float level that counts 1.5 -> 0.5 -> -0.5 ... past 0 would never
+    # return, so the calls run in a child that a timeout ends
+    out = run_python("""
+import math
+from nncalc.arithmetic import ArithmeticContext, arith
+from nncalc.errors import LevelRangeError
+from nncalc.generator import sine_extended
+from nncalc.lln import LevelBinomial
+from nncalc.probability import level_shift
+eg = sine_extended()
+calls = [lambda: eg.iterate(0.3, 1.5), lambda: eg.iterate(0.3, math.nan),
+         lambda: eg.iterate(-2.7, 2.0), lambda: eg.iterate(0.3, -0.5),
+         lambda: arith(ArithmeticContext(eg, 0.5), "add", 0.25, 0.5),
+         lambda: level_shift(0.3, 1.5, eg),
+         lambda: LevelBinomial(N=10, p=0.3, k=1.5).effective_p()]
+for call in calls:
+    try:
+        call()
+    except LevelRangeError as exc:
+        print(exc)
+    else:
+        print("returned")
+""")
+    assert out.splitlines() == [
+        "level 1.5 is not an integer", "level nan is not an integer",
+        "level 2.0 is not an integer", "level -0.5 is not an integer",
+        "level -0.5 is not an integer", "level 1.5 is not an integer",
+        "level 1.5 is not an integer"]
+
+
+@pytest.mark.parametrize("k", [1.5, -0.5, 2.0, math.nan, np.float64(3.0), "2", None])
+def test_a_non_integer_level_raises_on_the_array_path(sine_eg, k):
+    for x in (np.array([0.3, 0.7, 2.5]), np.linspace(-3.0, 3.0, 2 * _BLOCK + 1), np.array(math.nan)):
+        with pytest.raises(LevelRangeError, match="is not an integer"):
+            sine_eg.iterate(x, k)
+
+
+@pytest.mark.parametrize("k", [np.int64(3), np.int32(-2), np.uint8(5), True, False])
+def test_integer_like_levels_keep_their_bits(sine_eg, k):
+    xs, _ = _unit_sample()
+    xs = np.concatenate([xs[:500], np.linspace(-3.0, 3.0, 501)])
+    assert _same_bits(sine_eg.iterate(xs, k), sine_eg.iterate(xs, int(k)))
+    outs = [sine_eg.iterate(x, k) for x in xs[::7].tolist()]
+    assert all(type(out) is float for out in outs)
+    assert _same_bits(np.array(outs), sine_eg.iterate(xs[::7], int(k)))
 
 
 def test_iterate_roundtrip(sine_eg):
@@ -894,6 +943,12 @@ def test_eval_iterate_is_iterate():
             assert all(type(out) is float for out in outs), (egen, k)
             assert _same_bits(np.array(outs), ref[lanes]), (egen, k)
     assert clamp_count() == 0
+
+
+@pytest.mark.parametrize("name", ["clamp_count", "reset_clamp_count", "eval_iterate"])
+def test_deprecated_names_live_in_the_generator_module_only(name):
+    assert not hasattr(nncalc, name) and name not in nncalc.__all__
+    assert callable(getattr(generator, name))
 
 
 @pytest.mark.parametrize("k", (2, -2, 15, -15))
