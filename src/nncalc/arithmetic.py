@@ -68,11 +68,12 @@ def _push_finite(egen: ExtendedGenerator, level: int, what: str, base: float) ->
     return egen.iterate(base, level)
 
 
-def _inf_on_overflow(op: Callable, *args) -> float:
+def _inf_on_overflow(op: Callable, *args, negative: bool = False) -> float:
+    """op(*args), or where that overflows, -inf if ``negative`` else inf."""
     try:
         return op(*args)
     except OverflowError:  # float ** int, int / int and float(int) raise where * and / give inf
-        return math.inf
+        return -math.inf if negative else math.inf
 
 
 def _exact_sum(values: list) -> float:
@@ -81,7 +82,8 @@ def _exact_sum(values: list) -> float:
     if not all(map(math.isfinite, values)):
         return sum(values)  # not finite either way
     from fractions import Fraction  # here, not at the top: it imports decimal, slow to load
-    return _inf_on_overflow(float, sum(map(Fraction, values)))  # one correct rounding, as fsum
+    total = sum(map(Fraction, values))
+    return _inf_on_overflow(float, total, negative=total < 0)  # one correct rounding, as fsum
 
 
 def _sum_push(ctx: ArithmeticContext, what: str, pulled: list) -> float:
@@ -112,7 +114,8 @@ def arith(ctx: ArithmeticContext, kind: str, x: float, y: float) -> float:
 def embed_natural(ctx: ArithmeticContext, n: int) -> float:
     """The image n_k = g^k(n) of a natural number, equal to the n-fold
     level-k sum of the unit."""
-    return _push_finite(ctx.egen, ctx.level, "embed_natural", _inf_on_overflow(float, n))
+    return _push_finite(ctx.egen, ctx.level, "embed_natural",
+                        _inf_on_overflow(float, n, negative=n < 0))
 
 
 def embed_rational(ctx: ArithmeticContext, n: int, m: int) -> float:
@@ -120,14 +123,15 @@ def embed_rational(ctx: ArithmeticContext, n: int, m: int) -> float:
     if m == 0:
         raise DomainError("rational embedding needs a nonzero denominator")
     return _push_finite(ctx.egen, ctx.level, "embed_rational",
-                        _inf_on_overflow(operator.truediv, n, m))
+                        _inf_on_overflow(operator.truediv, n, m, negative=(n < 0) != (m < 0)))
 
 
 def power(ctx: ArithmeticContext, x: float, n: int) -> float:
     """The n-fold level-k product of x, evaluated as g^k(g^{-k}(x)^n)."""
     if n < 1:
         raise DomainError("power exponent must be a positive integer")
-    base = _inf_on_overflow(operator.pow, _pull_finite(ctx.egen, ctx.level, "power", x), n)
+    px = _pull_finite(ctx.egen, ctx.level, "power", x)
+    base = _inf_on_overflow(operator.pow, px, n, negative=px < 0.0 and n % 2 == 1)
     return _push_finite(ctx.egen, ctx.level, "power", base)
 
 

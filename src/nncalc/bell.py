@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .arithmetic import ArithmeticContext, arith
 from .errors import DomainError
-from .generator import ExtendedGenerator, sine_extended
+from .generator import ExtendedGenerator, _in_float_range, sine_extended
 
 TWO_PI = 2.0 * math.pi
 _MIN_STEP = 1e-10  # refine_ch0_max stops once its coordinate step is this small
@@ -32,7 +32,7 @@ _MIN_STEP = 1e-10  # refine_ch0_max stops once its coordinate step is this small
 
 def reduced_angle(delta):
     """Minimal arc distance of an angle difference, in [0, pi]."""
-    d = np.abs(np.asarray(delta, dtype=float)) % TWO_PI
+    d = np.abs(_in_float_range(np.asarray, delta, float)) % TWO_PI
     out = np.pi - np.abs(np.pi - d)
     return float(out) if out.ndim == 0 else out
 
@@ -58,7 +58,7 @@ class HalfCircleChar:
 def hidden_overlap(a1: float, a2: float) -> float:
     """int chi_{a1} chi_{a2} rho dlambda (no antipodal shift): (pi - d) / (2 pi)
     for the reduced separation d; a non-finite angle is a DomainError."""
-    if not (math.isfinite(a1) and math.isfinite(a2)):
+    if not (_in_float_range(math.isfinite, a1) and _in_float_range(math.isfinite, a2)):
         raise DomainError(f"angles must be finite, got ({a1!r}, {a2!r})")
     return (math.pi - reduced_angle(a1 - a2)) / TWO_PI
 
@@ -66,7 +66,7 @@ def hidden_overlap(a1: float, a2: float) -> float:
 def overlap_integral(alpha: float, beta: float) -> float:
     """int chi_alpha chi_{beta+pi} rho dlambda against the uniform density:
     |alpha - beta| / (2 pi) for reduced separations up to pi."""
-    return hidden_overlap(alpha, beta + math.pi)
+    return hidden_overlap(alpha, _in_float_range(float, beta) + math.pi)
 
 
 @dataclass(frozen=True)
@@ -174,13 +174,8 @@ class ChScanReport:
     tsirelson_check: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "max0": self.max0,
-            "argmax0": list(self.argmax0),
-            "max1": self.max1,
-            "argmax1": list(self.argmax1),
-            "tsirelson_check": self.tsirelson_check,
-        }
+        """The fields by name; json writes each AngleQuad as an array."""
+        return dict(vars(self))  # asdict would deep-copy every value for nothing
 
 
 #: float64 elements per chunk of ``ch_scan`` rows: 512 KiB, so the buffer and the
@@ -238,12 +233,12 @@ def ch_scan(resolution: float, egen: ExtendedGenerator = sine_extended()) -> ChS
     smallest b'.  ``tsirelson_check`` records that the level-0 maximum
     stayed below 1 + sqrt(2) and the level-1 maximum below 2 (small slack).
     """
-    if not (math.isfinite(resolution) and resolution > 0.0):
+    if not (_in_float_range(math.isfinite, resolution) and resolution > 0.0):
         raise DomainError(f"resolution must be positive and finite, got {resolution!r}")
     n = max(4, int(round(TWO_PI / resolution)))
     step = TWO_PI / n
     grid = np.arange(n) * step
-    red = np.pi - np.abs(np.pi - grid)          # reduced angle of each grid offset
+    red = reduced_angle(grid)                   # reduced angle of each grid offset
     tcache = np.cos(0.5 * red) ** 2             # level-1 conditionals
     pcache = 1.0 - red / np.pi                  # their base-level pullbacks
 

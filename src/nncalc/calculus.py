@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 from .arithmetic import _inf_on_overflow, _pull_finite, _push_finite
 from .errors import DomainError, QuadratureError
-from .generator import ExtendedGenerator
+from .generator import ExtendedGenerator, _in_float_range
 
 _EPS_CBRT = float(2.0 ** -52) ** (1.0 / 3.0)
 _MAX_DEPTH = 48
@@ -54,24 +55,22 @@ class LevelFunction:
         return LevelFunction(base, self.egen, self.source_level, self.target_level,
                              self.breakpoints if breakpoints is None else tuple(breakpoints))
 
-    def _check_compatible(self, other: "LevelFunction"):
+    def _pointwise(self, other: "LevelFunction", op: Callable) -> "LevelFunction":
+        """The level function with base op(f(r), g(r)), split at the breakpoints of both."""
         if (other.egen is not self.egen or other.source_level != self.source_level
                 or other.target_level != self.target_level):
             raise DomainError("level functions must share generator and levels to combine")
+        f, g = self.base, other.base
+        return self._like(lambda r: op(f(r), g(r)),
+                          tuple(sorted(set(self.breakpoints) | set(other.breakpoints))))
 
     def plus(self, other: "LevelFunction") -> "LevelFunction":
         """Pointwise level-l sum; the base of the sum is the sum of bases."""
-        self._check_compatible(other)
-        f, g = self.base, other.base
-        return self._like(lambda r: f(r) + g(r),
-                          tuple(sorted(set(self.breakpoints) | set(other.breakpoints))))
+        return self._pointwise(other, operator.add)
 
     def times(self, other: "LevelFunction") -> "LevelFunction":
         """Pointwise level-l product; the base of the product is the product of bases."""
-        self._check_compatible(other)
-        f, g = self.base, other.base
-        return self._like(lambda r: f(r) * g(r),
-                          tuple(sorted(set(self.breakpoints) | set(other.breakpoints))))
+        return self._pointwise(other, operator.mul)
 
     def scaled_by(self, c: float) -> "LevelFunction":
         """Level-l multiplication by the constant c (pulled back once)."""
@@ -88,7 +87,7 @@ def nn_derivative(fn: LevelFunction, x: float, step: float | None = None) -> flo
     positive and finite (DomainError otherwise).  The result is pushed to
     the target level.
     """
-    if step is not None and not (math.isfinite(step) and step > 0.0):
+    if step is not None and not (_in_float_range(math.isfinite, step) and step > 0.0):
         raise DomainError(f"nn_derivative: step must be positive and finite, got {step!r}")
     r = _pull_finite(fn.egen, fn.source_level, "nn_derivative", x)
     h = step if step is not None else max(1.0, abs(r)) * _EPS_CBRT

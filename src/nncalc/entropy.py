@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .generator import ExtendedGenerator, Generator
+from .generator import ExtendedGenerator, Generator, _in_float_range
 
 _ALPHA_SHANNON_WINDOW = 1e-8
 
@@ -28,7 +28,7 @@ class Distribution:
     probs: tuple
 
     def __init__(self, probs):
-        object.__setattr__(self, "probs", tuple(float(p) for p in probs))
+        object.__setattr__(self, "probs", _in_float_range(tuple, map(float, probs)))
         if not self.probs:
             raise DomainError("distribution must have at least one outcome")
         # written so that a NaN fails; entries in [0, 1] also keep fsum from overflowing
@@ -41,13 +41,22 @@ class Distribution:
         return [p for p in self.probs if p > 0.0]
 
 
-def _check_alpha(alpha: float):
-    if not alpha > 0.0:  # a NaN fails too
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-
-
 def shannon(dist: Distribution) -> float:
     return -math.fsum(p * math.log(p) for p in dist.support())
+
+
+def _renyi(dist: Distribution, alpha: float, terms) -> float:
+    """ln(sum of ``terms``) / (1 - alpha), the tail both routes share: the check on
+    alpha, Shannon within 1e-8 of alpha = 1 (``terms`` is then never consumed) and,
+    where extreme orders underflow the sum to 0, its limit."""
+    if not _in_float_range(float, alpha) > 0.0:  # a NaN fails too
+        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    if abs(1.0 - alpha) < _ALPHA_SHANNON_WINDOW:
+        return shannon(dist)
+    total = math.fsum(terms)
+    if total == 0.0:
+        return math.inf if alpha > 1.0 else -math.inf
+    return math.log(total) / (1.0 - alpha)
 
 
 def renyi_kn(dist: Distribution, alpha: float) -> float:
@@ -56,26 +65,13 @@ def renyi_kn(dist: Distribution, alpha: float) -> float:
     Literal evaluation of phi_a^{-1}(sum p phi_a(-ln p)); degenerates to
     Shannon within 1e-8 of alpha = 1.
     """
-    _check_alpha(alpha)
-    if abs(1.0 - alpha) < _ALPHA_SHANNON_WINDOW:
-        return shannon(dist)
-    one_minus = 1.0 - alpha
-    avg = math.fsum(p * math.exp(one_minus * (-math.log(p))) for p in dist.support())
-    if avg == 0.0:
-        # extreme orders underflow the averaging route; report the limit
-        return math.inf if alpha > 1.0 else -math.inf
-    return math.log(avg) / one_minus
+    return _renyi(dist, alpha, (p * math.exp((1.0 - alpha) * (-math.log(p)))
+                                for p in dist.support()))
 
 
 def renyi_closed(dist: Distribution, alpha: float) -> float:
     """Renyi entropy in closed form, ln(sum p^alpha)/(1 - alpha)."""
-    _check_alpha(alpha)
-    if abs(1.0 - alpha) < _ALPHA_SHANNON_WINDOW:
-        return shannon(dist)
-    total = math.fsum(p ** alpha for p in dist.support())
-    if total == 0.0:
-        return math.inf if alpha > 1.0 else -math.inf
-    return math.log(total) / (1.0 - alpha)
+    return _renyi(dist, alpha, (p ** alpha for p in dist.support()))
 
 
 def g_log_info(gen: Generator | ExtendedGenerator, p: float) -> float:

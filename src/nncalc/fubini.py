@@ -29,19 +29,28 @@ import numpy as np
 
 from .arithmetic import ArithmeticContext, _sum_push
 from .errors import DomainError, LevelRangeError
-from .generator import LEVEL_CAP, ExtendedGenerator, sine_extended
+from .generator import LEVEL_CAP, ExtendedGenerator, _in_float_range, _level, sine_extended
 
 HALF_PI = 0.5 * math.pi
 
 
-def _unit_scaled(v: np.ndarray) -> np.ndarray:
-    """v times the power of two that brings its largest |re| or |im| into [0.5, 1).
+def _unit_ray(v, what: str) -> np.ndarray:
+    """v / |v| as a contiguous complex array; DomainError for a non-finite component
+    or the zero vector.
 
-    The scaling is exact, so the angle is unchanged, but the norms no longer
-    overflow for huge finite components.
+    v is first scaled by the power of two that brings its largest |re| or |im|
+    into [0.5, 1).  The scaling is exact, so the ray is unchanged, but the norm
+    no longer overflows for huge finite components.
     """
+    v = _in_float_range(np.ascontiguousarray, v, complex)
+    if not np.isfinite(v).all():
+        raise DomainError(f"{what}: a component is not finite")
     parts = v.view(float)  # re, im interleaved
-    return np.ldexp(parts, -math.frexp(float(np.abs(parts).max(initial=0.0)))[1]).view(complex)
+    v = np.ldexp(parts, -math.frexp(float(np.abs(parts).max(initial=0.0)))[1]).view(complex)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise DomainError(f"{what} is undefined for the zero vector")
+    return v / norm
 
 
 def geodesic_distance(a, b) -> float:
@@ -56,18 +65,9 @@ def geodesic_distance(a, b) -> float:
     zero overlap, where the chord of rays normalized by an inexact norm can
     round below sqrt(2).
     """
-    a = np.ascontiguousarray(a, dtype=complex)
-    b = np.ascontiguousarray(b, dtype=complex)
+    a, b = _unit_ray(a, "geodesic distance"), _unit_ray(b, "geodesic distance")
     if a.size != b.size:
         raise DomainError(f"geodesic distance: dimensions {a.size} and {b.size} differ")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DomainError("geodesic distance: a component is not finite")
-    a, b = _unit_scaled(a), _unit_scaled(b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("geodesic distance is undefined for the zero vector")
-    a, b = a / na, b / nb
     c = complex(np.vdot(a, b))
     overlap = abs(c)
     if overlap <= 0.5:
@@ -95,6 +95,7 @@ def ladder(P: float, k_from: int, k_to: int,
     """
     if not (0.0 <= P <= 1.0):
         raise DomainError(f"P must lie in [0,1], got {P!r}")
+    k_from, k_to = _level(k_from), _level(k_to)
     if k_from > k_to:
         raise DomainError("k_from must not exceed k_to")
     if max(-k_from, k_to) > LEVEL_CAP:
@@ -112,7 +113,7 @@ class RealQuadraticForm:
     re_im: np.ndarray
 
     def evaluate(self, a) -> float:
-        a = np.asarray(a, dtype=complex)
+        a = _in_float_range(np.asarray, a, complex)
         x = a.real
         y = a.imag
         return float(x @ self.re_re @ x + y @ self.im_im @ y + x @ self.re_im @ y)
@@ -124,14 +125,7 @@ def projector_form(b) -> RealQuadraticForm:
     b is scaled by a power of two before its norm is taken, as in
     geodesic_distance, so huge finite components do not overflow the norm.
     """
-    b = np.ascontiguousarray(b, dtype=complex)
-    if not np.isfinite(b).all():
-        raise DomainError("projector form: a component is not finite")
-    b = _unit_scaled(b)
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        raise DomainError("cannot project onto the zero vector")
-    b = b / nb
+    b = _unit_ray(b, "projector form")
     u = b.real
     v = b.imag
     sym = np.outer(u, u) + np.outer(v, v)
@@ -152,7 +146,7 @@ def lifted_form_value(form: RealQuadraticForm, a,
     correctly rounded sum is pushed forward once.  A non-finite component
     or coefficient, or a vector of another dimension, raises DomainError.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _in_float_range(np.asarray, a, complex)
     parts = (a.real, a.imag, form.re_re, form.im_im, form.re_im)
     if a.ndim != 1 or any(m.shape != (a.size, a.size) for m in parts[2:]):
         raise DomainError(f"lifted form: a vector of shape {a.shape} does not fit the form")

@@ -23,7 +23,7 @@ from typing import Callable
 from .arithmetic import _check_base
 from .calculus import integrate_base
 from .errors import DomainError
-from .generator import ExtendedGenerator, sine_extended
+from .generator import ExtendedGenerator, _in_float_range, sine_extended
 
 
 class IdentityBijection:
@@ -77,7 +77,7 @@ class GComplex:
 
 
 def _check_native(u: GComplex) -> None:
-    if not (math.isfinite(u.x1) and math.isfinite(u.x2)):
+    if not (_in_float_range(math.isfinite, u.x1) and _in_float_range(math.isfinite, u.x2)):
         raise DomainError(f"native component ({u.x1!r}, {u.x2!r}) is not finite")
 
 

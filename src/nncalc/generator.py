@@ -49,12 +49,41 @@ _BISECT_ROUNDS = 46  # bisection rounds; they leave brackets of [0, 1/2] 2**-47 
 _BAND_GRID = 1001  # points of the uniform grid of [0,1] that effective_band scans
 
 
+def _in_float_range(op: Callable, *args):
+    """op(*args) for an op that converts its first argument to float: ``float``,
+    ``math.isfinite``, an array conversion or ``tuple`` of a ``map(float, ...)``.
+    An int beyond the float range is a DomainError, not an OverflowError."""
+    try:
+        return op(*args)
+    except OverflowError as exc:  # its repr may exceed the int-to-str digit limit
+        x = args[0]
+        size = f" of {x.bit_length()} bits" if isinstance(x, int) else ""
+        raise DomainError(f"an int{size} lies beyond the float range") from exc
+
+
 def _is_finite_scalar(x) -> bool:
     """True for a finite real scalar, no array, not even 0-d; a huge int is a DomainError."""
     try:
         return isinstance(x, _SCALAR_TYPES) and math.isfinite(x)
-    except OverflowError as exc:  # its repr may exceed the int-to-str digit limit
-        raise DomainError(f"an int of {x.bit_length()} bits lies beyond the float range") from exc
+    except OverflowError:  # an int beyond the float range: the helper raises
+        return _in_float_range(math.isfinite, x)
+
+
+def _level(k) -> int:
+    """k as an int; a level that is not an integer is a LevelRangeError."""
+    try:
+        return operator.index(k)  # a float level would never count down to 0
+    except TypeError:
+        raise LevelRangeError(f"level {k!r} is not an integer") from None
+
+
+def _record(obj, what: str, keys: set) -> None:
+    """ConfigError unless obj is a dict with no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be an object, got {type(obj).__name__}")
+    unknown = set(obj) - keys
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +193,7 @@ class _Folded:
     def __call__(self, p):
         if _is_finite_scalar(p):
             return _fold_float(self.half[0], float(p), 1)  # float32 would compute in float32
-        p = np.asarray(p, dtype=float)
+        p = _in_float_range(np.asarray, p, float)
         return _unfold(p, self.half[1](_fold(p)))
 
 
@@ -195,7 +224,7 @@ def make_identity_generator() -> Generator:
     """The trivial generator g(p) = p (level shifts become no-ops)."""
 
     def identity(p):
-        return np.asarray(p, dtype=float) + 0.0
+        return _in_float_range(np.asarray, p, float) + 0.0
 
     return Generator("identity", identity, identity)
 
@@ -226,10 +255,7 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
     converge, as each of the ``_BISECT_ROUNDS`` rounds halves every bracket.
     """
     gens = list(gens)
-    try:
-        weights = [float(w) for w in weights]
-    except OverflowError as exc:  # an int beyond the float range
-        raise DomainError("weights must lie in [0, 1]") from exc
+    weights = _in_float_range(list, map(float, weights))
     if not gens:
         raise DomainError("convex_combine requires at least one generator")
     if len(gens) != len(weights):
@@ -282,7 +308,7 @@ def validate_generator(gen: Generator, grid_points: int = 10_000, tol: float = 1
 
 def h_view(gen: Generator, x):
     """The odd part h(x) = g(x + 1/2) - 1/2 on [-1/2, 1/2]."""
-    arr = np.asarray(x, dtype=float)
+    arr = _in_float_range(np.asarray, x, float)
     if arr.size and not (arr.min() >= -0.5 and arr.max() <= 0.5):  # a NaN fails
         raise DomainError("h_view argument must lie in [-1/2, 1/2]")
     out = np.asarray(gen.forward(arr + 0.5)) - 0.5
@@ -464,9 +490,9 @@ class ExtendedGenerator:
     def iterate(self, x, k: int):
         """k-fold self-composition g_R^k (inverse composition for k < 0), int |k| <= LEVEL_CAP."""
         try:
-            steps = abs(operator.index(k))  # a float level would never count down to 0
+            steps = abs(operator.index(k))  # inline: a call to _level would slow scalars
         except TypeError:
-            raise LevelRangeError(f"level {k!r} is not an integer") from None
+            steps = _level(k)  # raises its LevelRangeError
         if steps > LEVEL_CAP:
             raise LevelRangeError(f"|k| = {steps} exceeds the iteration cap {LEVEL_CAP}")
         half = self._up if k > 0 else self._down
@@ -476,7 +502,7 @@ class ExtendedGenerator:
                 return x + 0.0  # -0.0 -> 0.0, as arrays do
             n = float(math.floor(x))
             return n + _fold_float(half[0], x - n, steps)
-        arr = np.asarray(x, dtype=float)
+        arr = _in_float_range(np.asarray, x, float)
         if not steps:
             out = arr + 0.0  # a copy, never the caller's array
         else:
@@ -545,6 +571,7 @@ def effective_band(egen: ExtendedGenerator, resolution: float,
     """
     if not (0.0 < resolution < 1.0):
         raise DomainError("resolution must lie strictly between 0 and 1")
+    k_cap = _level(k_cap)
     grid = np.linspace(0.0, 1.0, _BAND_GRID)
     saturated = False
 
@@ -577,11 +604,7 @@ def generator_from_config(config) -> Generator:
     """
     if isinstance(config, str):
         config = {"name": config}
-    if not isinstance(config, dict):
-        raise ConfigError(f"generator config must be a name or an object, got {type(config).__name__}")
-    unknown = set(config) - {"name", "components", "weights"}
-    if unknown:
-        raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
+    _record(config, "generator config", {"name", "components", "weights"})
     name = config.get("name")
     if isinstance(name, str) and name in _BUILTINS:  # a JSON list as name is unhashable
         return _BUILTINS[name]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .arithmetic import _check_base
 from .errors import ApplicabilityError, DomainError
-from .generator import ExtendedGenerator, sine_extended
+from .generator import ExtendedGenerator, _in_float_range, sine_extended
 
 #: switch binomial coefficients to log-space above this trial count
 _EXACT_COMB_MAX = 50
@@ -86,9 +86,7 @@ def pmf_base_vector(dist: LevelBinomial) -> np.ndarray:
     DomainError above N = 1029, where a central C(N, n) exceeds the float range;
     that is checked before the N + 1 entries are allocated.
     """
-    if dist.N > _COMB_FINITE_MAX:
-        raise DomainError(f"C({dist.N}, {dist.N // 2}) exceeds the float range; every "
-                          f"C(N, n) is finite only for N <= {_COMB_FINITE_MAX}")
+    _comb(dist.N, dist.N // 2)  # the largest C(N, n): DomainError where it overflows
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
     ns = np.arange(dist.N + 1)
@@ -100,17 +98,15 @@ def moments(dist: LevelBinomial) -> tuple[float, float]:
     """(mean, variance) of the success count in the observer arithmetic."""
     p_eff = dist.effective_p()
     q_eff = dist.effective_q()
-    try:
-        mean, var = dist.N * p_eff, dist.N * p_eff * q_eff
-    except OverflowError as exc:  # an int N beyond the float range
-        raise DomainError("trial count N exceeds the float range") from exc
+    N = _in_float_range(float, dist.N)
+    mean, var = N * p_eff, N * p_eff * q_eff
     return dist.egen.iterate(mean, dist.l), dist.egen.iterate(var, dist.l)
 
 
 def _deviation_bound(num: float, N: float, eps: float) -> float:
     """num / (N eps^2), the base-level Chebyshev ratio; DomainError unless eps is
     positive and finite and so is the ratio."""
-    if not (math.isfinite(eps) and eps > 0.0):  # a NaN fails too
+    if not (_in_float_range(math.isfinite, eps) and eps > 0.0):  # a NaN fails too
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
     try:
         ratio = num / (N * eps ** 2)
@@ -149,7 +145,7 @@ class SimulationReport:
     bound: float
 
     def to_json_dict(self) -> dict:
-        return {"empirical_exceed_rate": self.empirical_exceed_rate, "bound": self.bound}
+        return dict(vars(self))
 
 
 def simulate(dist: LevelBinomial, eps: float, trials: int, seed: int) -> SimulationReport:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .arithmetic import ArithmeticContext, level_prod, level_sum
 from .errors import ConfigError, DomainError
-from .generator import ExtendedGenerator, sine_extended
+from .generator import ExtendedGenerator, _in_float_range, _record, sine_extended
 
 
 def level_shift(p: float, k: int, egen: ExtendedGenerator = sine_extended()) -> float:
@@ -108,15 +108,6 @@ class CondTree:
 
     def leaf_paths(self) -> Iterable[str]:
         return ("".join(bits) for bits in itertools.product("01", repeat=self.depth()))
-
-
-def _record(obj, what: str, keys: set) -> None:
-    """ConfigError unless obj is a dict with no key outside ``keys``."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - keys
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _number(obj: dict, key: str, convert: Callable, default):
@@ -215,7 +206,7 @@ def alpha_of_theta(theta):
     alpha = 2 arcsin sqrt((2/pi) arcsin sqrt(theta/pi)); strictly increasing
     on [0, pi] with fixed points 0, pi/2 and pi.
     """
-    arr = np.asarray(theta, dtype=float)
+    arr = _in_float_range(np.asarray, theta, float)
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= math.pi):  # a NaN fails
         raise DomainError("theta must lie in [0, pi]")
     out = 2.0 * np.arcsin(np.sqrt((2.0 / np.pi) * np.arcsin(np.sqrt(arr / np.pi))))

@@ -334,6 +334,24 @@ def test_embeddings_beyond_the_float_range_raise(sine_eg, level):
 
 
 @pytest.mark.parametrize("level", [0, 1, -1])
+@pytest.mark.parametrize("call, sign", [
+    (lambda ctx: level_sum(ctx, [-1e308, -1e308]), "-"),
+    (lambda ctx: level_sum(ctx, [1e308, 1e308]), ""),
+    (lambda ctx: embed_natural(ctx, -10**400), "-"),
+    (lambda ctx: embed_rational(ctx, -10**400, 1), "-"),
+    (lambda ctx: embed_rational(ctx, 10**400, -1), "-"),
+    (lambda ctx: embed_rational(ctx, -10**400, -1), ""),
+    (lambda ctx: power(ctx, -2.0, 100001), "-"),
+    (lambda ctx: power(ctx, -2.0, 100000), ""),
+], ids=["sum-neg", "sum-pos", "natural-neg", "rational-num-neg", "rational-den-neg",
+        "rational-pos", "power-odd", "power-even"])
+def test_an_overflow_keeps_its_sign(sine_eg, level, call, sign):
+    # a negative overflow was reported as "base-level result inf"
+    with pytest.raises(DomainError, match=f"base-level result {sign}inf is not finite"):
+        call(ctx_at(sine_eg, level))
+
+
+@pytest.mark.parametrize("level", [0, 1, -1])
 def test_level_sum_of_opposite_infinities_raises(sine_eg, level):
     # every operation rejects a non-finite operand before it pulls, so no
     # numpy warning is emitted, and level-0 division by inf gives no 0.0

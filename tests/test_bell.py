@@ -394,3 +394,14 @@ def test_report_json_shape():
     d = report.to_json_dict()
     assert set(d) == {"max0", "argmax0", "max1", "argmax1", "tsirelson_check"}
     assert len(d["argmax0"]) == 4 and len(d["argmax1"]) == 4
+
+
+def test_report_dict_from_its_fields_writes_the_same_json(identity_eg):
+    # the dict as spelled out key by key before asdict, argmax quads as lists
+    for deg in (0.5, 1.0, 7.0, 15.0, 90.0):
+        for egen in (sine_extended(), identity_eg):
+            report = ch_scan(math.radians(deg), egen)
+            want = {"max0": report.max0, "argmax0": list(report.argmax0), "max1": report.max1,
+                    "argmax1": list(report.argmax1), "tsirelson_check": report.tsirelson_check}
+            for kwargs in ({}, {"sort_keys": True, "indent": 2, "allow_nan": False}):
+                assert json.dumps(report.to_json_dict(), **kwargs) == json.dumps(want, **kwargs)

@@ -326,3 +326,36 @@ def test_combinators_require_matching_levels(sine_eg):
 def test_explicit_step_override(sine_eg):
     square = lf(sine_eg, lambda r: r * r)
     assert nn_derivative(square, 1.5, step=1e-5) == pytest.approx(3.0, abs=1e-9)
+
+
+def _combined_oracle(A, B, op):
+    """A.plus(B) / A.times(B) as written before _pointwise: the base op on two calls."""
+    f, g = A.base, B.base
+    base = (lambda r: f(r) + g(r)) if op == "plus" else (lambda r: f(r) * g(r))
+    return LevelFunction(base, A.egen, A.source_level, A.target_level,
+                         tuple(sorted(set(A.breakpoints) | set(B.breakpoints))))
+
+
+def _outcome(fn, *args):
+    try:
+        return float(fn(*args)).hex()
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("op", ["plus", "times"])
+def test_pointwise_combinators_keep_their_bits(sine_eg, rng, op):
+    bases = [(math.sin, ()), (math.exp, ()), (lambda r: r * r - 0.3, (0.25,)),
+             (lambda r: 1.0 if 0.2 <= r <= 0.6 else 0.0, (0.2, 0.6)), (math.cos, (0.6, 1.5))]
+    for k, l in ((0, 0), (1, 0), (0, 1), (-1, 2)):
+        for (f, bf), (g, bg) in zip(bases, bases[1:] + bases[:1]):
+            A, B = lf(sine_eg, f, k, l, bf), lf(sine_eg, g, k, l, bg)
+            got, want = getattr(A, op)(B), _combined_oracle(A, B, op)
+            assert got.breakpoints == want.breakpoints
+            xs = rng.uniform(-2.0, 2.0, 40).tolist() + [0.0, 0.2, 0.6, 1.0, -1.0, 1e-300]
+            for x in xs:
+                assert _outcome(got.value, x) == _outcome(want.value, x)
+                assert _outcome(nn_derivative, got, x) == _outcome(nn_derivative, want, x)
+            for a, b in ((0.0, 1.0), (-0.5, 0.75), (0.1, 0.1), (-1.5, 1.25)):
+                assert (_outcome(nn_integral, got, a, b, 1e-9)
+                        == _outcome(nn_integral, want, a, b, 1e-9))

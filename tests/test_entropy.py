@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from nncalc.entropy import (
@@ -151,3 +152,52 @@ def test_g_log_info_domain():
         g_log_info(gen, 0.0)
     with pytest.raises(DomainError):
         g_log_info(gen, 1.5)
+
+
+def _renyi_kn_oracle(dist, alpha):
+    """renyi_kn with its own alpha check, window and limit, the form before _renyi."""
+    if not alpha > 0.0:
+        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    if abs(1.0 - alpha) < 1e-8:
+        return shannon(dist)
+    one_minus = 1.0 - alpha
+    avg = math.fsum(p * math.exp(one_minus * (-math.log(p))) for p in dist.support())
+    if avg == 0.0:
+        return math.inf if alpha > 1.0 else -math.inf
+    return math.log(avg) / one_minus
+
+
+def _renyi_closed_oracle(dist, alpha):
+    if not alpha > 0.0:
+        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    if abs(1.0 - alpha) < 1e-8:
+        return shannon(dist)
+    total = math.fsum(p ** alpha for p in dist.support())
+    if total == 0.0:
+        return math.inf if alpha > 1.0 else -math.inf
+    return math.log(total) / (1.0 - alpha)
+
+
+def _outcome(fn, dist, alpha):
+    try:
+        return fn(dist, alpha).hex()
+    except (DomainError, OverflowError) as exc:  # exp overflows the literal route
+        return f"{type(exc).__name__}: {exc}"  # on a subnormal p at small alpha
+
+
+def test_both_routes_keep_the_bits_of_their_own_tails(rng):
+    dists = [Distribution([1.0]), Distribution([0.5, 0.5]), Distribution([0.0, 0.25, 0.75]),
+             Distribution([1e-300, 1.0 - 1e-300]), Distribution([5e-324, 1.0])]
+    for size in (2, 3, 7, 16, 40):
+        for _ in range(20):
+            raw = rng.dirichlet(np.ones(size) * rng.choice([0.05, 1.0, 20.0]))
+            dists.append(Distribution(raw))
+    edges = (0.5, 1.0, 1.0 - 2**-40, 1.0 + 2**-40, 2.0)
+    window = [1.0 + s * f * 1e-8 for s in (-1, 1) for f in edges]
+    alphas = (window + [1.0, 2, 3, 0.5, 1e-12, 1e-300, 1e6, 1e300, math.inf, 0.0, -1.0, math.nan]
+              + rng.uniform(0.0, 10.0, 20).tolist() + np.exp(rng.uniform(-30, 30, 20)).tolist())
+    for dist in dists:
+        for alpha in alphas:
+            for route, oracle in ((renyi_kn, _renyi_kn_oracle),
+                                  (renyi_closed, _renyi_closed_oracle)):
+                assert _outcome(route, dist, alpha) == _outcome(oracle, dist, alpha)

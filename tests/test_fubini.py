@@ -267,5 +267,78 @@ def test_projector_form_of_huge_components():
 
 
 def test_projector_form_zero_vector():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="projector form is undefined for the zero vector"):
         projector_form(np.zeros(3, dtype=complex))
+
+
+def test_geodesic_zero_vector_is_reported_before_a_dimension_mismatch():
+    with pytest.raises(DomainError, match="geodesic distance is undefined for the zero vector"):
+        geodesic_distance([0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+def _unit_scaled_oracle(v):
+    parts = v.view(float)
+    return np.ldexp(parts, -math.frexp(float(np.abs(parts).max(initial=0.0)))[1]).view(complex)
+
+
+def _geodesic_oracle(a, b):
+    """geodesic_distance as two separate normalizations, the form before _unit_ray."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    b = np.ascontiguousarray(b, dtype=complex)
+    a, b = _unit_scaled_oracle(a), _unit_scaled_oracle(b)
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    a, b = a / na, b / nb
+    c = complex(np.vdot(a, b))
+    overlap = abs(c)
+    if overlap <= 0.5:
+        return math.acos(overlap)
+    return 2.0 * math.asin(0.5 * float(np.linalg.norm(a * (c / overlap) - b)))
+
+
+def _projector_oracle(b):
+    b = _unit_scaled_oracle(np.ascontiguousarray(b, dtype=complex))
+    b = b / float(np.linalg.norm(b))
+    u, v = b.real, b.imag
+    sym = np.outer(u, u) + np.outer(v, v)
+    cross = 2.0 * (np.outer(u, v) - np.outer(v, u))
+    return RealQuadraticForm(re_re=sym, im_im=sym.copy(), re_im=cross)
+
+
+def _vector_pairs(rng):
+    """Random, huge, tiny, near-parallel and orthogonal pairs, real and complex."""
+    for dim in (1, 2, 3, 5, 8):
+        for _ in range(60):
+            a, b = random_unit(rng, dim), random_unit(rng, dim)
+            yield a, b
+            yield a * 2.0 ** rng.integers(-1070, 1020), b * 1e300
+            yield a * 1e-300, b.real
+            yield a, a * np.exp(1j * rng.uniform(0, 2 * math.pi)) + 1e-9 * random_unit(rng, dim)
+            yield a, a + rng.uniform(-1e-15, 1e-15, dim)
+    yield [1, 1j], [1, -1j]
+    yield [1, 1], [1, -1]
+    yield [3, 4j], [4, -3j]
+    yield [1e308, -1e308j], [1e308, 1e308j]
+    yield [5e-324, 0.0], [0.0, 5e-324]
+
+
+def _same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_unit_ray_keeps_the_bits_of_both_normalizations(rng):
+    egen = sine_extended()
+    for a, b in _vector_pairs(rng):
+        assert _same_bits(geodesic_distance(a, b), _geodesic_oracle(a, b)), (a, b)
+        got, want = projector_form(b), _projector_oracle(b)
+        for field in ("re_re", "im_im", "re_im"):
+            assert _same_bits(getattr(got, field), getattr(want, field)), (b, field)
+        if np.size(a) <= 3:  # huge components overflow both lifted forms alike
+            assert _lifted_outcome(got, a, egen) == _lifted_outcome(want, a, egen)
+
+
+def _lifted_outcome(form, a, egen):
+    try:
+        return lifted_form_value(form, a, egen).hex()
+    except DomainError as exc:
+        return str(exc)

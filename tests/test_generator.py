@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -13,6 +14,7 @@ import nncalc
 from conftest import resolvable, run_python
 from nncalc import generator
 from nncalc.errors import ConfigError, DomainError, LevelRangeError
+from nncalc.fubini import ladder as fubini_ladder
 from nncalc.generator import (
     _BLOCK,
     LEVEL_CAP,
@@ -443,7 +445,7 @@ def test_generator_config_rejects_unknown_keys():
         generator_from_config({"name": "convex", "components": ["sine"]})
     with pytest.raises(ConfigError):
         generator_from_config({"name": "convex", "components": ["sine"], "weights": [0.5]})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^generator config must be an object, got int$"):
         generator_from_config(42)
     # components and weights must be lists, the weights of numbers
     for comps, weights in ((5, [1]), ("sine", [1]), (["sine"], 1), (["sine"], ["x"]),
@@ -589,6 +591,69 @@ def test_an_int_beyond_the_float_range_is_a_domain_error(sine_gen):
     for call in calls:
         with pytest.raises(DomainError, match="beyond the float range"):
             call()
+
+
+def _huge_int_calls():
+    from nncalc import bell, entropy, fubini, gcomplex, lln, probability
+    from nncalc.calculus import LevelFunction, nn_derivative
+
+    big, egen, half = 10**400, sine_extended(), entropy.Distribution([0.5, 0.5])
+    return {
+        "hidden_overlap": lambda: bell.hidden_overlap(big, 0.0),
+        "overlap_integral": lambda: bell.overlap_integral(0.0, big),
+        "ch_scan": lambda: bell.ch_scan(big),
+        "ch_value_level0": lambda: bell.ch_value_level0((big, 0, 0, 0)),
+        "ch_value_level1": lambda: bell.ch_value_level1([0, big, 0, 0]),
+        "alpha_of_theta": lambda: probability.alpha_of_theta(big),
+        "Distribution": lambda: entropy.Distribution([big, 1]),
+        "renyi_kn": lambda: entropy.renyi_kn(half, big),
+        "renyi_closed": lambda: entropy.renyi_closed(half, big),
+        "simulate": lambda: lln.simulate(lln.LevelBinomial(N=10, p=0.5), big, 10, 1),
+        "fig3_table": lambda: lln.fig3_table([0], [10], big),
+        "moments": lambda: lln.moments(lln.LevelBinomial(N=big, p=0.3)),
+        "forward_list": lambda: egen.forward([big, 0.5]),
+        "iterate_list": lambda: egen.iterate([0.5, -big], 3),
+        "sine_forward_list": lambda: make_sine_generator().forward([big]),
+        "h_view": lambda: h_view(make_sine_generator(), [big]),
+        "convex_weights": lambda: convex_combine([make_sine_generator()], [big]),
+        "to_base": lambda: gcomplex.to_base(gcomplex.PairArithmetic.default_sine(),
+                                            gcomplex.GComplex(big, 0.0)),
+        "nn_derivative_step": lambda: nn_derivative(LevelFunction(math.sin, egen, 0, 0), 0.3,
+                                                    step=big),
+        "geodesic_distance": lambda: fubini.geodesic_distance([big, 1], [1, 0]),
+        "projector_form": lambda: fubini.projector_form([0, big]),
+        "form_evaluate": lambda: fubini.projector_form([1, 0]).evaluate([big, 0]),
+        "lifted_form_value": lambda: fubini.lifted_form_value(fubini.projector_form([1, 0]),
+                                                              [0, big]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_huge_int_calls()))
+def test_entry_points_reject_an_int_beyond_the_float_range(name):
+    # each raised a raw OverflowError, but for convex_weights and moments, whose
+    # own handlers worded the DomainError otherwise
+    with pytest.raises(DomainError, match="an int( of 1329 bits)? lies beyond the float range"):
+        _huge_int_calls()[name]()
+
+
+@pytest.mark.parametrize("call, level", [
+    (lambda: fubini_ladder(0.3, -3.0, 3), "-3.0"),
+    (lambda: fubini_ladder(0.3, 0, 2.5), "2.5"),
+    (lambda: fubini_ladder(0.3, "0", 2), "'0'"),
+    (lambda: effective_band(sine_extended(), 0.01, k_cap=2.5), "2.5"),
+    (lambda: effective_band(sine_extended(), 0.01, k_cap=None), "None"),
+], ids=["ladder-from", "ladder-to", "ladder-str", "band-float", "band-None"])
+def test_a_non_integer_level_of_a_ladder_or_band_raises(call, level):
+    # range() raised a raw TypeError
+    with pytest.raises(LevelRangeError, match=f"^level {re.escape(level)} is not an integer$"):
+        call()
+
+
+@pytest.mark.parametrize("k", [np.int64(3), np.int32(-2), True, False])
+def test_integer_like_ladder_and_band_levels_keep_working(k):
+    assert fubini_ladder(0.3, -abs(int(k)), k) == fubini_ladder(0.3, -abs(int(k)), int(k))
+    assert (effective_band(sine_extended(), 0.05, k_cap=k)
+            == effective_band(sine_extended(), 0.05, k_cap=int(k)))
 
 
 def test_scalar_path_matches_long_array_kernels(rng):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -276,3 +277,12 @@ def test_fig3_validation():
         fig3_table([1], range(10, 12), 0.0)
     with pytest.raises(DomainError):
         fig3_table([1], range(0, 2), 0.1)
+
+
+def test_report_dict_from_its_fields_writes_the_same_json():
+    for N, p, k, l, eps in ((10, 0.5, 0, 0, 0.3), (1000, 0.3, 1, 0, 0.05), (40, 0.9, -2, 1, 0.1)):
+        report = simulate(LevelBinomial(N=N, p=p, k=k, l=l), eps=eps, trials=500, seed=7)
+        want = {"empirical_exceed_rate": report.empirical_exceed_rate, "bound": report.bound}
+        assert report.to_json_dict() == want
+        for kwargs in ({}, {"sort_keys": True, "indent": 2, "allow_nan": False}):
+            assert json.dumps(report.to_json_dict(), **kwargs) == json.dumps(want, **kwargs)
