@@ -9,13 +9,16 @@ route is kept for cross-checks only.
 Joint singlet probabilities arise by lifting the overlap through
 G(x) = g(2x)/2, which fixes 0, 1/4 and 1/2.  The Clauser-Horne four-term
 combination of conditionals is evaluated once with level-1 operations
-(where it provably stays inside [0,2]) and once with ordinary arithmetic
-(where it reaches 1 + sqrt 2).
+(where, for the sine generator, it provably stays inside [0,2]) and once
+with ordinary arithmetic (where it reaches 1 + sqrt 2).  ``ch_scan`` pulls
+the conditionals back through the sine's closed form 1 - d/pi, so its
+level-1 maximum is that of ``ch_value_level1`` for the sine generator only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,12 +48,13 @@ class HalfCircleChar:
 
     def breakpoints(self):
         """The two arc endpoints modulo 2 pi, for quadrature splitting."""
-        return tuple(sorted(((self.phi - 0.5 * math.pi) % TWO_PI,
-                             (self.phi + 0.5 * math.pi) % TWO_PI)))
+        phi = _in_float_range(float, self.phi)
+        return tuple(sorted(((phi - 0.5 * math.pi) % TWO_PI, (phi + 0.5 * math.pi) % TWO_PI)))
 
     def indicator(self, lam):
         """1 on the supporting half circle, 0 elsewhere (vectorized)."""
-        inside = reduced_angle(np.asarray(lam, dtype=float) - self.phi) <= 0.5 * math.pi
+        phi = _in_float_range(float, self.phi)
+        inside = reduced_angle(np.asarray(lam, dtype=float) - phi) <= 0.5 * math.pi
         out = np.asarray(inside, dtype=float)
         return float(out) if out.ndim == 0 else out
 
@@ -104,14 +108,14 @@ class GMap:
     egen: ExtendedGenerator
 
     def forward(self, x):
-        return 0.5 * self.egen.forward(2.0 * x)
+        return 0.5 * self.egen.forward(_in_float_range(operator.mul, x, 2.0))
 
     def inverse(self, y):
-        return 0.5 * self.egen.inverse(2.0 * y)
+        return 0.5 * self.egen.inverse(_in_float_range(operator.mul, y, 2.0))
 
     def iterate(self, x, k: int):
         """G^k = S^-1 g_R^k S for S(x) = 2x, exact because scaling by 2 is."""
-        return 0.5 * self.egen.iterate(2.0 * x, k)
+        return 0.5 * self.egen.iterate(_in_float_range(operator.mul, x, 2.0), k)
 
 
 def singlet_from_hidden(a1_angle: float, a2_angle: float,
@@ -146,8 +150,10 @@ def ch_value_level1(quad: AngleQuad, egen: ExtendedGenerator = sine_extended()) 
     """Four-term Clauser-Horne combination evaluated with level-1 operations.
 
     t(a,b) (-_1) t(a,b') (+_1) t(a',b) (+_1) t(a',b') for the conditionals
-    t = cos^2(delta/2); with the unit-periodic (integer-fixing) extension
-    the value provably lies in [0, 2] for every quad.
+    t = cos^2(delta/2).  For the sine generator, whose pullbacks of t are the
+    hidden conditionals 1 - delta/pi, the unit-periodic (integer-fixing)
+    extension keeps the value in [0, 2] for every quad.  Other generators need
+    not: for convex(sine, identity; 1/2, 1/2) it reaches -0.153 and 2.153.
     """
     t1, t2, t3, t4 = _conditionals(quad)
     ctx = ArithmeticContext(egen, 1)

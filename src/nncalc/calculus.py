@@ -139,6 +139,7 @@ def integrate_base(f: Callable, a: float, b: float, tol: float = 1e-10,
                    breakpoints=()) -> float | complex:
     """Ordinary adaptive-Simpson integral of a real or complex base function, split at
     breakpoints; for a complex one the error estimates are moduli."""
+    a, b = _in_float_range(float, a), _in_float_range(float, b)
     if b < a:
         return -integrate_base(f, b, a, tol, breakpoints)
     cuts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]

@@ -59,14 +59,23 @@ def _renyi(dist: Distribution, alpha: float, terms) -> float:
     return math.log(total) / (1.0 - alpha)
 
 
+def _kn_term(p: float, one_minus: float) -> float:
+    """p * phi_a(-ln p) for one_minus = 1 - a; where exp overflows, as on a subnormal
+    p at a small order, the product is finite and is formed as exp(ln p + x)."""
+    x = one_minus * -math.log(p)
+    try:
+        return p * math.exp(x)
+    except OverflowError:
+        return math.exp(math.log(p) + x)
+
+
 def renyi_kn(dist: Distribution, alpha: float) -> float:
     """Renyi entropy via the Kolmogorov-Nagumo averaging route.
 
     Literal evaluation of phi_a^{-1}(sum p phi_a(-ln p)); degenerates to
     Shannon within 1e-8 of alpha = 1.
     """
-    return _renyi(dist, alpha, (p * math.exp((1.0 - alpha) * (-math.log(p)))
-                                for p in dist.support()))
+    return _renyi(dist, alpha, (_kn_term(p, 1.0 - alpha) for p in dist.support()))
 
 
 def renyi_closed(dist: Distribution, alpha: float) -> float:

@@ -15,6 +15,7 @@ collapses before the classical Bernoulli argument applies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -23,10 +24,8 @@ import numpy as np
 
 from .arithmetic import _check_base
 from .errors import ApplicabilityError, DomainError
-from .generator import ExtendedGenerator, _in_float_range, sine_extended
+from .generator import _BLOCK, ExtendedGenerator, _in_float_range, sine_extended
 
-#: switch binomial coefficients to log-space above this trial count
-_EXACT_COMB_MAX = 50
 #: the largest N at which every C(N, n) is a finite float (C(1030, 515) ~ 2.9e308)
 _COMB_FINITE_MAX = 1029
 
@@ -47,17 +46,16 @@ class LevelBinomial:
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"success probability must lie in [0,1], got {self.p!r}")
 
-    def effective_p(self) -> float:
-        """g^{k-l}(p): the success probability seen after collapsing levels."""
-        return self.egen.iterate(self.p, self.k - self.l)
-
-    def effective_q(self) -> float:
-        return self.egen.iterate(1.0 - self.p, self.k - self.l)
+    def effective(self) -> tuple[float, float]:
+        """(g^{k-l}(p), g^{k-l}(1 - p)): success and failure probabilities, levels collapsed."""
+        k = self.k - self.l
+        return self.egen.iterate(self.p, k), self.egen.iterate(1.0 - self.p, k)
 
 
 def _comb(N: int, n: int) -> float:
-    """C(N, n) as a float; DomainError where it exceeds the float range."""
-    if N <= _EXACT_COMB_MAX:
+    """C(N, n) as a float: the exact integer rounded once up to N = 1029, log-gamma above
+    it (the exact C(10**6, n) costs seconds); DomainError beyond the float range."""
+    if N <= _COMB_FINITE_MAX:
         return float(math.comb(N, n))
     try:
         return math.exp(math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1))
@@ -74,8 +72,7 @@ def pmf(dist: LevelBinomial, n: int) -> float:
     """
     if not (0 <= n <= dist.N):
         raise DomainError(f"n must lie in 0..{dist.N}, got {n}")
-    p_eff = dist.effective_p()
-    q_eff = dist.effective_q()
+    p_eff, q_eff = dist.effective()
     base = _comb(dist.N, n) * q_eff ** (dist.N - n) * p_eff ** n
     return dist.egen.iterate(base, dist.l)
 
@@ -83,21 +80,22 @@ def pmf(dist: LevelBinomial, n: int) -> float:
 def pmf_base_vector(dist: LevelBinomial) -> np.ndarray:
     """All N+1 outcome probabilities before the level-l push (the pullbacks).
 
-    DomainError above N = 1029, where a central C(N, n) exceeds the float range;
-    that is checked before the N + 1 entries are allocated.
+    C(N, 0..N) is one exact Pascal row, each entry rounded once.  DomainError above
+    N = 1029, where a central C(N, n) exceeds the float range; that is checked
+    before the N + 1 entries are allocated.
     """
-    _comb(dist.N, dist.N // 2)  # the largest C(N, n): DomainError where it overflows
-    p_eff = dist.effective_p()
-    q_eff = dist.effective_q()
-    ns = np.arange(dist.N + 1)
-    combs = np.array([_comb(dist.N, int(n)) for n in ns])
-    return combs * q_eff ** (dist.N - ns) * p_eff ** ns
+    N = dist.N
+    _comb(N, N // 2)  # the largest C(N, n): DomainError where it overflows
+    p_eff, q_eff = dist.effective()
+    row = itertools.accumulate(range(N), lambda c, n: c * (N - n) // (n + 1), initial=1)
+    combs = np.fromiter(map(float, row), float, N + 1)
+    ns = np.arange(N + 1)
+    return combs * q_eff ** (N - ns) * p_eff ** ns
 
 
 def moments(dist: LevelBinomial) -> tuple[float, float]:
     """(mean, variance) of the success count in the observer arithmetic."""
-    p_eff = dist.effective_p()
-    q_eff = dist.effective_q()
+    p_eff, q_eff = dist.effective()
     N = _in_float_range(float, dist.N)
     mean, var = N * p_eff, N * p_eff * q_eff
     return dist.egen.iterate(mean, dist.l), dist.egen.iterate(var, dist.l)
@@ -135,7 +133,7 @@ def chebyshev_bound(dist: LevelBinomial, eps: float) -> float:
     Valid only when N >= p_eff q_eff / eps^2 (otherwise the bound exceeds 1);
     violating that raises ApplicabilityError naming the minimal N.
     """
-    pq = dist.effective_p() * dist.effective_q()
+    pq = math.prod(dist.effective())
     return _level_bound(dist.egen, dist.l, pq, dist.N, eps, _deviation_bound(pq, 1, eps))
 
 
@@ -154,8 +152,9 @@ def simulate(dist: LevelBinomial, eps: float, trials: int, seed: int) -> Simulat
     Samples are binomial draws at the effective level-0 probability from a
     counter-based Philox stream keyed by ``seed``; results are
     bit-reproducible for a given (seed, trials, N) and the exceedance count
-    is order independent.  The seed must lie in [0, 2**64) and N must not
-    exceed 2**63 - 1, the sampler's range; DomainError otherwise.
+    is order independent.  The seed must lie in [0, 2**64) and N and trials
+    must not exceed 2**63 - 1, the sampler's range; DomainError otherwise.
+    The draws are made and counted in blocks, so memory does not grow with trials.
     """
     if trials < 1:
         raise DomainError("trials must be a positive integer")
@@ -163,13 +162,16 @@ def simulate(dist: LevelBinomial, eps: float, trials: int, seed: int) -> Simulat
         raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
     if dist.N >= 2**63:  # numpy's binomial sampler takes a C int64
         raise DomainError(f"simulate takes N <= 2**63 - 1, got {dist.N}")
-    p_eff = dist.effective_p()
-    q_eff = dist.effective_q()
+    if trials >= 2**63:
+        raise DomainError("simulate takes trials <= 2**63 - 1")
+    p_eff, q_eff = dist.effective()
     bound = _deviation_bound(p_eff * q_eff, dist.N, eps)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    counts = rng.binomial(dist.N, p_eff, size=trials)
-    exceed = np.abs(p_eff - counts / dist.N) >= eps
-    rate = float(np.count_nonzero(exceed)) / trials
+    exceed = 0
+    for start in range(0, trials, _BLOCK):  # one stream: blocks draw what one call would
+        counts = rng.binomial(dist.N, p_eff, size=min(_BLOCK, trials - start))
+        exceed += np.count_nonzero(np.abs(p_eff - counts / dist.N) >= eps)
+    rate = float(exceed) / trials
     return SimulationReport(empirical_exceed_rate=rate, bound=float(bound))
 
 

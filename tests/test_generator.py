@@ -123,7 +123,7 @@ calls = [lambda: eg.iterate(0.3, 1.5), lambda: eg.iterate(0.3, math.nan),
          lambda: eg.iterate(-2.7, 2.0), lambda: eg.iterate(0.3, -0.5),
          lambda: arith(ArithmeticContext(eg, 0.5), "add", 0.25, 0.5),
          lambda: level_shift(0.3, 1.5, eg),
-         lambda: LevelBinomial(N=10, p=0.3, k=1.5).effective_p()]
+         lambda: LevelBinomial(N=10, p=0.3, k=1.5).effective()]
 for call in calls:
     try:
         call()
@@ -595,7 +595,7 @@ def test_an_int_beyond_the_float_range_is_a_domain_error(sine_gen):
 
 def _huge_int_calls():
     from nncalc import bell, entropy, fubini, gcomplex, lln, probability
-    from nncalc.calculus import LevelFunction, nn_derivative
+    from nncalc.calculus import LevelFunction, integrate_base, nn_derivative
 
     big, egen, half = 10**400, sine_extended(), entropy.Distribution([0.5, 0.5])
     return {
@@ -604,6 +604,12 @@ def _huge_int_calls():
         "ch_scan": lambda: bell.ch_scan(big),
         "ch_value_level0": lambda: bell.ch_value_level0((big, 0, 0, 0)),
         "ch_value_level1": lambda: bell.ch_value_level1([0, big, 0, 0]),
+        "indicator": lambda: bell.HalfCircleChar(big).indicator(0.3),
+        "breakpoints": lambda: bell.HalfCircleChar(big).breakpoints(),
+        "gmap_forward": lambda: bell.GMap(egen).forward(big),
+        "gmap_inverse": lambda: bell.GMap(egen).inverse(big),
+        "gmap_iterate": lambda: bell.GMap(egen).iterate(big, 2),
+        "integrate_base": lambda: integrate_base(math.sin, 0.0, big),
         "alpha_of_theta": lambda: probability.alpha_of_theta(big),
         "Distribution": lambda: entropy.Distribution([big, 1]),
         "renyi_kn": lambda: entropy.renyi_kn(half, big),

@@ -1,11 +1,12 @@
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
 
 from nncalc.errors import ApplicabilityError, DomainError
-from nncalc.generator import sine_extended
+from nncalc.generator import _BLOCK, sine_extended
 from nncalc.lln import (
     LevelBinomial,
     chebyshev_bound,
@@ -79,6 +80,26 @@ def test_pmf_beyond_the_float_range_raises():
                  lambda: pmf_base_vector(LevelBinomial(N=10**20, p=0.3))):
         with pytest.raises(DomainError, match="N <= 1029"):
             call()
+
+
+@pytest.mark.parametrize("N, p, stat, bound", [
+    (200, 0.3, max, 4), (1000, 0.5, max, 2),
+    # in the upper tail p**n underflows to 0 and loses whole entries; Loader's form would mend it
+    (1000, 0.3, statistics.median, 2)])
+def test_pmf_base_vector_against_mpmath(N, p, stat, bound):
+    # the log-gamma coefficients above N = 50 were 2.1e3 ulps off at N = 200, p = 0.3
+    mpmath = pytest.importorskip("mpmath")
+    dist = LevelBinomial(N=N, p=p)
+    p_eff, q_eff = dist.effective()  # taken as exact
+    base = pmf_base_vector(dist)
+    errs = []
+    with mpmath.workdps(50):
+        for n in range(N + 1):
+            want = float(mpmath.binomial(N, n) * mpmath.mpf(q_eff) ** (N - n)
+                         * mpmath.mpf(p_eff) ** n)
+            if want >= 2.0**-1022:
+                errs.append(abs(float(base[n]) - want) / math.ulp(want))
+    assert stat(errs) <= bound
 
 
 def test_pmf_matches_base_vector(rng):
@@ -210,6 +231,30 @@ def test_simulate_takes_the_samplers_seed_and_n_range():
             simulate(d, eps=0.1, trials=5, seed=seed)
     with pytest.raises(DomainError, match="N <="):
         simulate(LevelBinomial(N=2**63, p=0.3), eps=0.1, trials=5, seed=0)
+    # 10**400 raised a raw ValueError from numpy
+    for trials in (2**63, 10**400):
+        with pytest.raises(DomainError, match="trials <="):
+            simulate(d, eps=0.1, trials=trials, seed=0)
+
+
+def _simulate_oracle(dist, eps, trials, seed):
+    """simulate's rate as one draw of all trials, the form before it drew in blocks."""
+    p_eff, _ = dist.effective()
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    counts = rng.binomial(dist.N, p_eff, size=trials)
+    exceed = np.abs(p_eff - counts / dist.N) >= eps
+    return float(np.count_nonzero(exceed)) / trials
+
+
+# N p = 6 takes numpy's inversion sampler, N p = 5000 its rejection sampler
+@pytest.mark.parametrize("N, p, eps", [(20, 0.3, 0.1), (10_000, 0.5, 0.005)])
+def test_simulate_in_blocks_matches_one_draw(N, p, eps):
+    dist = LevelBinomial(N=N, p=p)
+    trials = 3 * _BLOCK + 5
+    for seed in (0, 7):
+        rate = simulate(dist, eps, trials, seed).empirical_exceed_rate
+        assert 0.0 < rate < 1.0
+        assert rate == _simulate_oracle(dist, eps, trials, seed)
 
 
 def test_simulate_soundness_over_seeds():
