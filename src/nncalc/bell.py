@@ -31,12 +31,16 @@ from .generator import ExtendedGenerator, _in_float_range, sine_extended
 
 TWO_PI = 2.0 * math.pi
 _MIN_STEP = 1e-10  # refine_ch0_max stops once its coordinate step is this small
+_SCAN_MAX_POINTS = 1 << 16  # the finest ch_scan grid, where its buffer stays 0.5 MiB
 
 
 def reduced_angle(delta):
-    """Minimal arc distance of an angle difference, in [0, pi]."""
-    d = np.abs(_in_float_range(np.asarray, delta, float)) % TWO_PI
-    out = np.pi - np.abs(np.pi - d)
+    """Minimal arc distance of an angle difference, in [0, pi]; DomainError for +-inf
+    or NaN, whose remainder would be a NaN."""
+    d = np.abs(_in_float_range(np.asarray, delta, float))
+    if not np.isfinite(d).all():
+        raise DomainError("reduced angle: an angle difference is not finite")
+    out = np.pi - np.abs(np.pi - d % TWO_PI)
     return float(out) if out.ndim == 0 else out
 
 
@@ -233,15 +237,20 @@ def ch_scan(resolution: float, egen: ExtendedGenerator = sine_extended()) -> ChS
     keeps the scan quadratic in n.  The conditional of a' and b depends
     only on (a' - b) mod n, so each level's a'-by-b table is a read-only
     circulant view of its n cached conditionals, and no n x n array is
-    built: the rows are evaluated in chunks of about 2**16 elements (one
-    row when n is larger) through one buffer, 0.5 MiB up to n = 2**16.  Ties go
-    to the first maximum: the smallest a', then the smallest b, then the
-    smallest b'.  ``tsirelson_check`` records that the level-0 maximum
-    stayed below 1 + sqrt(2) and the level-1 maximum below 2 (small slack).
+    built: the rows are evaluated in chunks of about 2**16 elements through
+    one 0.5 MiB buffer.  n is at most 2**16, so a finer resolution is a
+    DomainError, raised before anything is allocated.  Ties go to the first
+    maximum: the smallest a', then the smallest b, then the smallest b'.
+    ``tsirelson_check`` records that the level-0 maximum stayed below
+    1 + sqrt(2) and the level-1 maximum below 2 (small slack).
     """
     if not (_in_float_range(math.isfinite, resolution) and resolution > 0.0):
         raise DomainError(f"resolution must be positive and finite, got {resolution!r}")
-    n = max(4, int(round(TWO_PI / resolution)))
+    points = TWO_PI / resolution  # inf for a subnormal resolution
+    if not (math.isfinite(points) and round(points) <= _SCAN_MAX_POINTS):
+        raise DomainError(f"ch_scan takes at most {_SCAN_MAX_POINTS} grid points; resolution "
+                          f"{resolution!r} asks for {points:.6g}")
+    n = max(4, int(round(points)))
     step = TWO_PI / n
     grid = np.arange(n) * step
     red = reduced_angle(grid)                   # reduced angle of each grid offset

@@ -141,18 +141,23 @@ def lifted_form_value(form: RealQuadraticForm, a,
     Signed components ride on the unit-periodic extension.  The result
     equals g(<a|P|a>) whenever the form encodes a projector expectation;
     that identity is the tested contract.  It is evaluated in the
-    single-push form: each lifted coefficient array is pulled back once,
-    the 3n^2 terms are multiplied in ordinary arithmetic, and their
-    correctly rounded sum is pushed forward once.  A non-finite component
-    or coefficient, or a vector of another dimension, raises DomainError.
+    single-push form: all 2n + 3n^2 components and coefficients are lifted
+    in one array call and pulled back in one more, the 3n^2 terms are
+    multiplied in ordinary arithmetic, and their correctly rounded sum is
+    pushed forward once.  A non-finite component or coefficient, or a
+    vector of another dimension, raises DomainError.
     """
     a = _in_float_range(np.asarray, a, complex)
+    n = a.size
     parts = (a.real, a.imag, form.re_re, form.im_im, form.re_im)
-    if a.ndim != 1 or any(m.shape != (a.size, a.size) for m in parts[2:]):
+    if a.ndim != 1 or any(m.shape != (n, n) for m in parts[2:]):
         raise DomainError(f"lifted form: a vector of shape {a.shape} does not fit the form")
-    if not all(np.isfinite(v).all() for v in parts):
+    flat = np.concatenate(parts, axis=None)  # x, y, then the three n x n blocks
+    if not np.isfinite(flat).all():
         raise DomainError("lifted form: a component or coefficient is not finite")
-    x, y, xx, yy, xy = (egen.iterate(egen.forward(v), -1) for v in parts)
+    pulled = egen.iterate(egen.forward(flat), -1)  # elementwise, so each part keeps its bits
+    x, y = pulled[:n], pulled[n:2 * n]
+    xx, yy, xy = pulled[2 * n:].reshape(3, n, n)
     with np.errstate(over="ignore", invalid="ignore"):  # _sum_push rejects a non-finite sum
         terms = [x[:, None] * xx * x, y[:, None] * yy * y, x[:, None] * xy * y]
     return _sum_push(ArithmeticContext(egen, 1), "lifted_form_value",

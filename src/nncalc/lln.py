@@ -30,6 +30,14 @@ from .generator import _BLOCK, ExtendedGenerator, _in_float_range, sine_extended
 _COMB_FINITE_MAX = 1029
 
 
+def _shown(x, show=str) -> str:
+    """show(x) for an error message; an int beyond the int-to-str digit limit by its size."""
+    try:
+        return show(x)
+    except ValueError:  # a huge int's str and repr raise
+        return f"<an int of {x.bit_length()} bits>"
+
+
 @dataclass(frozen=True)
 class LevelBinomial:
     """N trials with success probability p at level k, observed at level l."""
@@ -44,7 +52,8 @@ class LevelBinomial:
         if self.N < 1:
             raise DomainError("trial count must be a positive integer")
         if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"success probability must lie in [0,1], got {self.p!r}")
+            raise DomainError(
+                f"success probability must lie in [0,1], got {_shown(self.p, repr)}")
 
     def effective(self) -> tuple[float, float]:
         """(g^{k-l}(p), g^{k-l}(1 - p)): success and failure probabilities, levels collapsed."""
@@ -60,8 +69,8 @@ def _comb(N: int, n: int) -> float:
     try:
         return math.exp(math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1))
     except OverflowError as exc:
-        raise DomainError(f"C({N}, {n}) exceeds the float range; every C(N, n) is "
-                          f"finite only for N <= {_COMB_FINITE_MAX}") from exc
+        raise DomainError(f"C({_shown(N)}, {_shown(n)}) exceeds the float range; every "
+                          f"C(N, n) is finite only for N <= {_COMB_FINITE_MAX}") from exc
 
 
 def pmf(dist: LevelBinomial, n: int) -> float:
@@ -71,7 +80,7 @@ def pmf(dist: LevelBinomial, n: int) -> float:
     DomainError.
     """
     if not (0 <= n <= dist.N):
-        raise DomainError(f"n must lie in 0..{dist.N}, got {n}")
+        raise DomainError(f"n must lie in 0..{_shown(dist.N)}, got {_shown(n)}")
     p_eff, q_eff = dist.effective()
     base = _comb(dist.N, n) * q_eff ** (dist.N - n) * p_eff ** n
     return dist.egen.iterate(base, dist.l)
@@ -122,7 +131,7 @@ def _level_bound(egen: ExtendedGenerator, l: int, pq: float, N: int, eps: float,
     exceeds 1, which raises ApplicabilityError naming the minimal N."""
     if N < min_n:
         raise ApplicabilityError(
-            f"bound applies only for N >= {min_n:.6g} (got N={N})",
+            f"bound applies only for N >= {min_n:.6g} (got N={_shown(N)})",
             min_trials=math.ceil(min_n))
     return egen.iterate(_deviation_bound(pq, N, eps), l)
 
@@ -159,9 +168,9 @@ def simulate(dist: LevelBinomial, eps: float, trials: int, seed: int) -> Simulat
     if trials < 1:
         raise DomainError("trials must be a positive integer")
     if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+        raise DomainError(f"seed must lie in [0, 2**64), got {_shown(seed)}")
     if dist.N >= 2**63:  # numpy's binomial sampler takes a C int64
-        raise DomainError(f"simulate takes N <= 2**63 - 1, got {dist.N}")
+        raise DomainError(f"simulate takes N <= 2**63 - 1, got {_shown(dist.N)}")
     if trials >= 2**63:
         raise DomainError("simulate takes trials <= 2**63 - 1")
     p_eff, q_eff = dist.effective()

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .arithmetic import ArithmeticContext, level_prod, level_sum
+from .arithmetic import ArithmeticContext, _pull_finite, _push_finite, level_prod, level_sum
 from .errors import ConfigError, DomainError
 from .generator import ExtendedGenerator, _in_float_range, _record, sine_extended
 
@@ -176,11 +176,23 @@ def tree_joint(tree: CondTree, leaf_path: str,
 
 
 def tree_normalization(tree: CondTree, egen: ExtendedGenerator = sine_extended()) -> float:
-    """Level-l sum of the joint probabilities over all leaves (brute-force
-    enumeration); equals 1 up to the level-l amplification discussed in
-    :func:`normalization_residual`."""
-    joints = [tree_joint(tree, path, egen) for path in tree.leaf_paths()]
-    return level_sum(ArithmeticContext(egen, tree.sum_level), joints)
+    """Level-l sum of the joint probabilities over all leaves; equals 1 up to
+    the level-l amplification discussed in :func:`normalization_residual`.
+    One depth-first walk shifts and pulls back each conditional once and
+    carries the product from the root: each leaf's joint is its tree_joint."""
+    l = tree.sum_level
+    joints: list[float] = []
+
+    def walk(node: CondNode, prefix: float) -> None:  # p0's subtree first: leaf_paths order
+        for p, child in zip((node.p0, node.p1), node.children or (None, None)):
+            product = prefix * _pull_finite(egen, l, "level_prod", level_shift(p, node.level, egen))
+            if child is None:
+                joints.append(_push_finite(egen, l, "level_prod", product))
+            else:
+                walk(child, product)
+
+    walk(tree.root, 1.0)  # math.prod in level_prod also starts from 1
+    return level_sum(ArithmeticContext(egen, l), joints)
 
 
 def singlet_table(theta: float) -> np.ndarray:

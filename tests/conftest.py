@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, settings
 import nncalc
 from nncalc.generator import (
     ExtendedGenerator,
+    convex_combine,
     make_identity_generator,
     make_sine_generator,
 )
@@ -48,6 +49,38 @@ def sine_eg(sine_gen):
 @pytest.fixture(scope="session")
 def identity_eg():
     return ExtendedGenerator(make_identity_generator())
+
+
+@pytest.fixture(scope="session")
+def convex_eg():
+    return ExtendedGenerator(convex_combine([make_sine_generator(), make_identity_generator()],
+                                            [0.5, 0.5]))
+
+
+class CountingGenerator(ExtendedGenerator):
+    """An extended generator that records each outermost call as ("forward", None)
+    or ("iterate", k); an array forward's own iterate call is not counted."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.calls = []
+        self._inside = False
+
+    def _count(self, call, method, *args):
+        if self._inside:
+            return method(*args)
+        self.calls.append(call)
+        self._inside = True
+        try:
+            return method(*args)
+        finally:
+            self._inside = False
+
+    def forward(self, x):
+        return self._count(("forward", None), super().forward, x)
+
+    def iterate(self, x, k):
+        return self._count(("iterate", k), super().iterate, x, k)
 
 
 @pytest.fixture

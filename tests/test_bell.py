@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,22 @@ def test_reduced_angle():
     assert reduced_angle(1.5 * math.pi) == pytest.approx(0.5 * math.pi, abs=1e-12)
     assert reduced_angle(-0.3) == pytest.approx(0.3, abs=1e-15)
     assert reduced_angle(7.0 * math.pi + 0.1) == pytest.approx(math.pi - 0.1, abs=1e-12)
+
+
+def test_reduced_angle_of_a_non_finite_difference():
+    # the remainder of inf was a NaN, with a RuntimeWarning
+    quad = AngleQuad(0.0, 0.5 * math.pi, math.inf, 0.75 * math.pi)
+    calls = [reduced_angle, lambda bad: reduced_angle(np.array([0.3, bad])),
+             lambda bad: ch_value_level0(quad._replace(b=bad)),
+             lambda bad: ch_value_level1(quad._replace(b=bad))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.inf, -math.inf, math.nan):
+            for call in calls:
+                with pytest.raises(DomainError, match="not finite"):
+                    call(bad)
+        with pytest.raises(DomainError, match="not finite"):  # an inf step never halved to 0
+            refine_ch0_max(quad._replace(b=0.25 * math.pi), initial_step=math.inf)
 
 
 def test_half_circle_measure():
@@ -298,6 +315,22 @@ def test_ch_scan_validation():
     for resolution in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             ch_scan(resolution)
+
+
+def test_ch_scan_grid_size_is_checked_before_any_allocation(monkeypatch):
+    # 5e-324 raised a raw OverflowError; 1e-9 asked numpy for 46.8 GiB
+    class Reached(Exception):
+        pass
+
+    def arange(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(bell.np, "arange", arange)
+    for resolution in (5e-324, 1e-300, 1e-9, TWO_PI / (2**16 + 1)):
+        with pytest.raises(DomainError, match="at most 65536 grid points"):
+            ch_scan(resolution)
+    with pytest.raises(Reached):  # the finest grid it takes passes the check
+        ch_scan(TWO_PI / 2**16)
 
 
 def _ch_scan_loop(resolution, egen=sine_extended()):

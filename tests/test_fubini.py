@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import CountingGenerator
+from nncalc.arithmetic import ArithmeticContext, _sum_push
 from nncalc.errors import DomainError, LevelRangeError
 from nncalc.fubini import (
     HALF_PI,
@@ -342,3 +344,41 @@ def _lifted_outcome(form, a, egen):
         return lifted_form_value(form, a, egen).hex()
     except DomainError as exc:
         return str(exc)
+
+
+def _lifted_per_part_oracle(form, a, egen):
+    """lifted_form_value with each of its five parts lifted and pulled back in
+    calls of its own, the form before the one array call."""
+    a = np.asarray(a, dtype=complex)
+    parts = (a.real, a.imag, form.re_re, form.im_im, form.re_im)
+    x, y, xx, yy, xy = (egen.iterate(egen.forward(v), -1) for v in parts)
+    terms = [x[:, None] * xx * x, y[:, None] * yy * y, x[:, None] * xy * y]
+    return _sum_push(ArithmeticContext(egen, 1), "lifted_form_value",
+                     np.concatenate(terms, axis=None).tolist()).hex()
+
+
+def _lifted_cases(rng):
+    """Projector forms and signed forms whose coefficients span several unit cells,
+    at odd and even dimensions and at one that takes two array blocks."""
+    for dim in (1, 2, 3, 4, 5, 80):
+        for _ in range(40 if dim <= 5 else 2):
+            a = random_unit(rng, dim) * rng.uniform(0.25, 3.0)
+            if rng.random() < 0.5:
+                yield projector_form(random_unit(rng, dim)), a
+            else:
+                re_re, im_im, re_im = rng.uniform(-3.0, 3.0, size=(3, dim, dim))
+                yield RealQuadraticForm(re_re=re_re, im_im=im_im, re_im=re_im), a
+
+
+def test_lifted_form_keeps_the_bits_of_the_per_part_pulls(sine_eg, convex_eg, rng):
+    for egen in (sine_eg, convex_eg):
+        for form, a in _lifted_cases(rng):
+            assert _lifted_outcome(form, a, egen) == _lifted_per_part_oracle(form, a, egen), a
+
+
+def test_lifted_form_makes_one_lift_and_one_pull(sine_gen, rng):
+    # the pull is iterate(., -1); the last iterate is the push of the sum
+    for dim in (1, 3, 4):
+        egen = CountingGenerator(sine_gen)
+        lifted_form_value(projector_form(random_unit(rng, dim)), random_unit(rng, dim), egen)
+        assert egen.calls == [("forward", None), ("iterate", -1), ("iterate", 1)]

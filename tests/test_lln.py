@@ -237,6 +237,22 @@ def test_simulate_takes_the_samplers_seed_and_n_range():
             simulate(d, eps=0.1, trials=trials, seed=0)
 
 
+def test_an_int_too_long_to_print_is_named_by_its_bits():
+    # formatting N or seed into the message raised a raw ValueError past 4300 digits
+    huge = 10**5000
+    cases = [(lambda: simulate(LevelBinomial(N=huge, p=0.5), 0.1, 5, 0), "N <="),
+             (lambda: simulate(LevelBinomial(N=10, p=0.5), 0.1, 5, huge), "seed"),
+             (lambda: pmf(LevelBinomial(N=huge, p=0.5), -1), "n must lie"),
+             (lambda: pmf(LevelBinomial(N=huge, p=0.5), 3), "float range"),
+             (lambda: pmf(LevelBinomial(N=10, p=0.5), huge), "n must lie"),
+             (lambda: pmf_base_vector(LevelBinomial(N=huge, p=0.5)), "float range"),
+             (lambda: LevelBinomial(N=1, p=huge), "success probability")]
+    for call, what in cases:
+        with pytest.raises(DomainError, match=what) as caught:
+            call()
+        assert f"an int of {huge.bit_length()} bits" in str(caught.value)
+
+
 def _simulate_oracle(dist, eps, trials, seed):
     """simulate's rate as one draw of all trials, the form before it drew in blocks."""
     p_eff, _ = dist.effective()

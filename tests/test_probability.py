@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nncalc.arithmetic import ArithmeticContext
+from conftest import CountingGenerator
+from nncalc.arithmetic import ArithmeticContext, level_sum
 from nncalc.errors import ConfigError, DomainError
 from nncalc.generator import sine_extended
 from nncalc.probability import (
@@ -335,3 +336,40 @@ def test_alpha_domain():
         with pytest.raises(DomainError):
             alpha_of_theta(bad)
     assert alpha_of_theta(np.array([])).shape == (0,)
+
+
+def _tree_normalization_per_leaf_oracle(tree, egen):
+    """tree_normalization as the level-l sum of tree_joint over every leaf path, the
+    form before the shared walk."""
+    joints = [tree_joint(tree, path, egen) for path in tree.leaf_paths()]
+    return level_sum(ArithmeticContext(egen, tree.sum_level), joints)
+
+
+def _random_tree(rng, depth):
+    """A tree of the given depth with levels in -3..3 and conditionals that include 0 and 1."""
+    def build(d):
+        p0 = float(rng.choice([0.0, 1.0])) if rng.random() < 0.1 else float(rng.uniform())
+        level = int(rng.integers(-3, 4))
+        if d == depth:
+            return CondNode(level, p0, 1.0 - p0)
+        return CondNode(level, p0, 1.0 - p0, (build(d + 1), build(d + 1)))
+    return CondTree(build(1), sum_level=int(rng.integers(-3, 4)))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_tree_normalization_keeps_the_bits_of_the_per_leaf_joints(sine_eg, convex_eg, rng,
+                                                                  depth):
+    for egen, trees in ((sine_eg, 20), (convex_eg, 3)):  # the convex inverse bisects: slow
+        for _ in range(trees):
+            tree = _random_tree(rng, depth)
+            assert (tree_normalization(tree, egen).hex()
+                    == _tree_normalization_per_leaf_oracle(tree, egen).hex()), tree_to_json(tree)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_tree_normalization_shifts_and_pulls_each_conditional_once(sine_gen, rng, depth):
+    # 2 (2^d - 1) conditionals, each shifted and pulled; 2^d leaf pushes and the
+    # level_sum's 2^d pulls; one last push
+    egen = CountingGenerator(sine_gen)
+    tree_normalization(_random_tree(rng, depth), egen)
+    assert len(egen.calls) == 4 * (2**depth - 1) + 2 * 2**depth + 1
