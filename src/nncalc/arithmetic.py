@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import DomainError, PullbackDivisionError
-from .generator import ExtendedGenerator
+from .generator import ExtendedGenerator, _shown
 
 _OPS = {
     "add": operator.add,
@@ -47,10 +47,10 @@ def _pull_finite(egen: ExtendedGenerator, level: int, what: str, x: float) -> fl
     try:
         finite = math.isfinite(x)
     except OverflowError as exc:  # an int beyond the float range, whose repr may be too long
-        raise DomainError(f"{what} at level {level}: an int operand of {x.bit_length()} bits "
-                          "lies beyond the float range") from exc
+        raise DomainError(f"{what} at level {_shown(level)}: an int operand of "
+                          f"{x.bit_length()} bits lies beyond the float range") from exc
     if not finite:  # the pull would turn inf into NaN, or keep it at level 0
-        raise DomainError(f"{what} at level {level}: operand {x!r} is not finite")
+        raise DomainError(f"{what} at level {_shown(level)}: operand {x!r} is not finite")
     return egen.iterate(x, -level)
 
 
@@ -58,7 +58,7 @@ def _check_base(base: float | complex, what: str, level: int | None = None) -> N
     """The one place where a non-finite base-level result, real or complex, becomes
     a DomainError; the level and pair arithmetics and the LLN bounds call it."""
     if not cmath.isfinite(base):  # a push or an inverse map would turn inf into NaN
-        at = "" if level is None else f" at level {level}"
+        at = "" if level is None else f" at level {_shown(level)}"
         raise DomainError(f"{what}{at}: base-level result {base!r} is not finite")
 
 

@@ -27,7 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .arithmetic import ArithmeticContext, arith
 from .errors import DomainError
-from .generator import ExtendedGenerator, _in_float_range, sine_extended
+from .generator import (_FLOAT_MAX, ExtendedGenerator, _check_in, _in_float_range, _shown,
+                        sine_extended)
 
 TWO_PI = 2.0 * math.pi
 _MIN_STEP = 1e-10  # refine_ch0_max stops once its coordinate step is this small
@@ -52,13 +53,13 @@ class HalfCircleChar:
 
     def breakpoints(self):
         """The two arc endpoints modulo 2 pi, for quadrature splitting."""
-        phi = _in_float_range(float, self.phi)
+        phi = _check_in(self.phi, -_FLOAT_MAX, _FLOAT_MAX, "a half circle's centre must be finite")
         return tuple(sorted(((phi - 0.5 * math.pi) % TWO_PI, (phi + 0.5 * math.pi) % TWO_PI)))
 
     def indicator(self, lam):
         """1 on the supporting half circle, 0 elsewhere (vectorized)."""
         phi = _in_float_range(float, self.phi)
-        inside = reduced_angle(np.asarray(lam, dtype=float) - phi) <= 0.5 * math.pi
+        inside = reduced_angle(_in_float_range(np.asarray, lam, float) - phi) <= 0.5 * math.pi
         out = np.asarray(inside, dtype=float)
         return float(out) if out.ndim == 0 else out
 
@@ -66,8 +67,8 @@ class HalfCircleChar:
 def hidden_overlap(a1: float, a2: float) -> float:
     """int chi_{a1} chi_{a2} rho dlambda (no antipodal shift): (pi - d) / (2 pi)
     for the reduced separation d; a non-finite angle is a DomainError."""
-    if not (_in_float_range(math.isfinite, a1) and _in_float_range(math.isfinite, a2)):
-        raise DomainError(f"angles must be finite, got ({a1!r}, {a2!r})")
+    for a in (a1, a2):
+        _check_in(a, -_FLOAT_MAX, _FLOAT_MAX, "angles must be finite")
     return (math.pi - reduced_angle(a1 - a2)) / TWO_PI
 
 
@@ -106,20 +107,28 @@ class GMap:
 
     Provides the same forward/inverse/iterate surface as an extended
     generator, so it can drive level functions directly.  G fixes 0, 1/4
-    and 1/2.
+    and 1/2.  A finite float whose double overflows is a DomainError.
     """
 
     egen: ExtendedGenerator
 
     def forward(self, x):
-        return 0.5 * self.egen.forward(_in_float_range(operator.mul, x, 2.0))
+        return 0.5 * self.egen.forward(_doubled(x))
 
     def inverse(self, y):
-        return 0.5 * self.egen.inverse(_in_float_range(operator.mul, y, 2.0))
+        return 0.5 * self.egen.inverse(_doubled(y))
 
     def iterate(self, x, k: int):
         """G^k = S^-1 g_R^k S for S(x) = 2x, exact because scaling by 2 is."""
-        return 0.5 * self.egen.iterate(_in_float_range(operator.mul, x, 2.0), k)
+        return 0.5 * self.egen.iterate(_doubled(x), k)
+
+
+def _doubled(x):
+    """2x for GMap; DomainError for a finite float whose double, +-inf, would map to NaN."""
+    y = _in_float_range(operator.mul, x, 2.0)
+    if isinstance(y, float) and math.isinf(y) and math.isfinite(x):
+        raise DomainError(f"GMap doubles its argument past the float range, got {_shown(x)}")
+    return y
 
 
 def singlet_from_hidden(a1_angle: float, a2_angle: float,
@@ -145,7 +154,7 @@ class AngleQuad(NamedTuple):
 def _conditionals(quad) -> list[float]:
     """The level-1 conditionals t(a,b), t(a,b'), t(a',b), t(a',b') of a quad,
     each cos^2(d/2) of its settings' reduced separation d."""
-    a, a_prime, b, b_prime = AngleQuad(*quad)
+    a, a_prime, b, b_prime = AngleQuad(*_in_float_range(tuple, map(float, quad)))
     red = reduced_angle([a - b, a - b_prime, a_prime - b, a_prime - b_prime])
     return [math.cos(0.5 * d) ** 2 for d in red.tolist()]
 
@@ -244,12 +253,11 @@ def ch_scan(resolution: float, egen: ExtendedGenerator = sine_extended()) -> ChS
     ``tsirelson_check`` records that the level-0 maximum stayed below
     1 + sqrt(2) and the level-1 maximum below 2 (small slack).
     """
-    if not (_in_float_range(math.isfinite, resolution) and resolution > 0.0):
-        raise DomainError(f"resolution must be positive and finite, got {resolution!r}")
+    _check_in(resolution, 5e-324, _FLOAT_MAX, "resolution must be positive and finite")
     points = TWO_PI / resolution  # inf for a subnormal resolution
     if not (math.isfinite(points) and round(points) <= _SCAN_MAX_POINTS):
         raise DomainError(f"ch_scan takes at most {_SCAN_MAX_POINTS} grid points; resolution "
-                          f"{resolution!r} asks for {points:.6g}")
+                          f"{_shown(resolution)} asks for {points:.6g}")
     n = max(4, int(round(points)))
     step = TWO_PI / n
     grid = np.arange(n) * step
@@ -271,7 +279,7 @@ def refine_ch0_max(start: AngleQuad, initial_step: float) -> tuple[AngleQuad, fl
     """Deterministic coordinate descent sharpening a level-0 grid maximum."""
     angles = list(AngleQuad(*start))
     value = ch_value_level0(AngleQuad(*angles))
-    step = initial_step
+    step = _in_float_range(float, initial_step)
     while step > _MIN_STEP:
         improved = True
         while improved:

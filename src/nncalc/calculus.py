@@ -25,11 +25,12 @@ from typing import Callable
 
 from .arithmetic import _inf_on_overflow, _pull_finite, _push_finite
 from .errors import DomainError, QuadratureError
-from .generator import ExtendedGenerator, _in_float_range
+from .generator import _FLOAT_MAX, ExtendedGenerator, _check_in, _in_float_range
 
 _EPS_CBRT = float(2.0 ** -52) ** (1.0 / 3.0)
 _MAX_DEPTH = 48
 _MAX_EVALS = 100_000
+_HALF_MAX = 0.5 * _FLOAT_MAX  # the largest bound for which a midpoint 0.5 (a + b) is finite
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,11 @@ def nn_derivative(fn: LevelFunction, x: float, step: float | None = None) -> flo
 
     Central differences on the base at r = g^{-k}(x) with one Richardson
     refinement, step h = max(1, |r|) * eps^(1/3) unless given, and then
-    positive and finite (DomainError otherwise).  The result is pushed to
-    the target level.
+    finite and at least 1e-323, where half of it is still positive (DomainError
+    otherwise).  The result is pushed to the target level.
     """
-    if step is not None and not (_in_float_range(math.isfinite, step) and step > 0.0):
-        raise DomainError(f"nn_derivative: step must be positive and finite, got {step!r}")
+    if step is not None:
+        _check_in(step, 1e-323, _FLOAT_MAX, "nn_derivative: step must be finite, >= 1e-323")
     r = _pull_finite(fn.egen, fn.source_level, "nn_derivative", x)
     h = step if step is not None else max(1.0, abs(r)) * _EPS_CBRT
     f = fn.base
@@ -139,7 +140,9 @@ def integrate_base(f: Callable, a: float, b: float, tol: float = 1e-10,
                    breakpoints=()) -> float | complex:
     """Ordinary adaptive-Simpson integral of a real or complex base function, split at
     breakpoints; for a complex one the error estimates are moduli."""
-    a, b = _in_float_range(float, a), _in_float_range(float, b)
+    a, b = (float(_check_in(x, -_HALF_MAX, _HALF_MAX, "integration bounds must lie within "
+                            "half the float range")) for x in (a, b))
+    tol = _in_float_range(float, tol)
     if b < a:
         return -integrate_base(f, b, a, tol, breakpoints)
     cuts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]

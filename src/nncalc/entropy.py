@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .generator import ExtendedGenerator, Generator, _in_float_range
+from .generator import ExtendedGenerator, Generator, _check_in, _in_float_range, _probabilities
 
 _ALPHA_SHANNON_WINDOW = 1e-8
 
@@ -28,14 +27,7 @@ class Distribution:
     probs: tuple
 
     def __init__(self, probs):
-        object.__setattr__(self, "probs", _in_float_range(tuple, map(float, probs)))
-        if not self.probs:
-            raise DomainError("distribution must have at least one outcome")
-        # written so that a NaN fails; entries in [0, 1] also keep fsum from overflowing
-        if not all(0.0 <= p <= 1.0 for p in self.probs):
-            raise DomainError("probabilities must lie in [0, 1]")
-        if not abs(math.fsum(self.probs) - 1.0) <= 1e-12:
-            raise DomainError(f"probabilities must sum to 1, got {math.fsum(self.probs)!r}")
+        object.__setattr__(self, "probs", _probabilities(probs, "probabilities"))
 
     def support(self):
         return [p for p in self.probs if p > 0.0]
@@ -46,16 +38,20 @@ def shannon(dist: Distribution) -> float:
 
 
 def _renyi(dist: Distribution, alpha: float, terms) -> float:
-    """ln(sum of ``terms``) / (1 - alpha), the tail both routes share: the check on
-    alpha, Shannon within 1e-8 of alpha = 1 (``terms`` is then never consumed) and,
-    where extreme orders underflow the sum to 0, its limit."""
-    if not _in_float_range(float, alpha) > 0.0:  # a NaN fails too
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    """ln(sum of ``terms``) / (1 - alpha), the tail both routes share: the check on alpha,
+    Shannon within 1e-8 of alpha = 1 and -ln max p at alpha = inf (``terms`` is then never
+    consumed).  Where a large order takes the sum below the normal range, max p is factored
+    out of it; for alpha < 1 every p^alpha >= p, so the sum stays >= 1 - 1e-12."""
+    alpha = _in_float_range(float, _check_in(alpha, 5e-324, math.inf, "alpha must be positive"))
     if abs(1.0 - alpha) < _ALPHA_SHANNON_WINDOW:
         return shannon(dist)
+    if alpha == math.inf:
+        return -math.log(max(dist.probs))
     total = math.fsum(terms)
-    if total == 0.0:
-        return math.inf if alpha > 1.0 else -math.inf
+    if total < 2.0 ** -1022:  # subnormal or 0: digits lost; the scaled sum is >= 1
+        top = max(dist.probs)
+        scaled = math.fsum((p / top) ** alpha for p in dist.support())
+        return math.log(top) * (alpha / (1.0 - alpha)) + math.log(scaled) / (1.0 - alpha)
     return math.log(total) / (1.0 - alpha)
 
 
@@ -89,7 +85,6 @@ def g_log_info(gen: Generator | ExtendedGenerator, p: float) -> float:
     The argument -ln p exceeds 1 for p < 1/e, so the extended (integer
     fixing) bijection is used.
     """
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"p must lie in (0, 1], got {p!r}")
+    _check_in(p, 5e-324, 1.0, "p must lie in (0, 1]")
     egen = gen if isinstance(gen, ExtendedGenerator) else ExtendedGenerator(gen)
     return egen.forward(-math.log(p))

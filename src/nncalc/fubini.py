@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import ArithmeticContext, _sum_push
-from .errors import DomainError, LevelRangeError
-from .generator import LEVEL_CAP, ExtendedGenerator, _in_float_range, _level, sine_extended
+from .arithmetic import ArithmeticContext, _check_base, _sum_push
+from .errors import DomainError
+from .generator import ExtendedGenerator, _check_in, _in_float_range, _level, sine_extended
 
 HALF_PI = 0.5 * math.pi
 
@@ -80,9 +80,7 @@ def hidden_prob(theta: float) -> float:
 
     Satisfies g(hidden_prob(theta)) = cos^2(theta) for the sine generator.
     """
-    if not (0.0 <= theta <= HALF_PI):
-        raise DomainError(f"theta must lie in [0, pi/2], got {theta!r}")
-    return 1.0 - theta / HALF_PI
+    return 1.0 - _check_in(theta, 0.0, HALF_PI, "theta must lie in [0, pi/2]") / HALF_PI
 
 
 def ladder(P: float, k_from: int, k_to: int,
@@ -91,15 +89,13 @@ def ladder(P: float, k_from: int, k_to: int,
 
     The base entry p = hidden_prob(arccos(sqrt(P))) sits at level 0 and the
     entry at j = 1 recovers P itself.  Each rung is ``egen.iterate(p, j)``,
-    in [0, 1] because g^j maps [0, 1] into itself.
+    in [0, 1] because g^j maps [0, 1] into itself; a level past the cap
+    raises iterate's LevelRangeError.
     """
-    if not (0.0 <= P <= 1.0):
-        raise DomainError(f"P must lie in [0,1], got {P!r}")
+    _check_in(P, 0.0, 1.0, "P must lie in [0,1]")
     k_from, k_to = _level(k_from), _level(k_to)
     if k_from > k_to:
         raise DomainError("k_from must not exceed k_to")
-    if max(-k_from, k_to) > LEVEL_CAP:
-        raise LevelRangeError(f"levels {k_from}..{k_to} exceed the iteration cap {LEVEL_CAP}")
     p0 = hidden_prob(math.acos(math.sqrt(P)))
     return [egen.iterate(p0, j) for j in range(k_from, k_to + 1)]
 
@@ -114,9 +110,11 @@ class RealQuadraticForm:
 
     def evaluate(self, a) -> float:
         a = _in_float_range(np.asarray, a, complex)
-        x = a.real
-        y = a.imag
-        return float(x @ self.re_re @ x + y @ self.im_im @ y + x @ self.re_im @ y)
+        x, y = a.real, a.imag
+        with np.errstate(over="ignore", invalid="ignore"):  # _check_base rejects inf and NaN
+            value = float(x @ self.re_re @ x + y @ self.im_im @ y + x @ self.re_im @ y)
+        _check_base(value, "quadratic form")
+        return value
 
 
 def projector_form(b) -> RealQuadraticForm:

@@ -16,14 +16,14 @@ way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .arithmetic import _check_base
 from .calculus import integrate_base
 from .errors import DomainError
-from .generator import ExtendedGenerator, _in_float_range, sine_extended
+from .generator import (_FLOAT_MAX, ExtendedGenerator, _check_in, _in_float_range, _shown,
+                        sine_extended)
 
 
 class IdentityBijection:
@@ -38,7 +38,7 @@ class IdentityBijection:
     name = "identity"
 
     def forward(self, x):
-        return x if isinstance(x, float) else float(x)
+        return x if isinstance(x, float) else _in_float_range(float, x)
 
     inverse = forward
 
@@ -77,8 +77,8 @@ class GComplex:
 
 
 def _check_native(u: GComplex) -> None:
-    if not (_in_float_range(math.isfinite, u.x1) and _in_float_range(math.isfinite, u.x2)):
-        raise DomainError(f"native component ({u.x1!r}, {u.x2!r}) is not finite")
+    for x in (u.x1, u.x2):
+        _check_in(x, -_FLOAT_MAX, _FLOAT_MAX, "a native component must be finite")
 
 
 def to_base(pa: PairArithmetic, u: GComplex) -> complex:
@@ -160,7 +160,7 @@ def gc_power(pa: PairArithmetic, u: GComplex, n: int) -> GComplex:
     try:
         return from_base(pa, to_base(pa, u) ** n)
     except OverflowError as exc:  # complex ** int raises above n = 100 where * gives inf
-        raise DomainError(f"power {n} of the base value overflows") from exc
+        raise DomainError(f"power {_shown(n)} of the base value overflows") from exc
 
 
 @dataclass(frozen=True)

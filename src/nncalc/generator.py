@@ -20,6 +20,7 @@ import json
 import math
 import operator
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -47,6 +48,7 @@ _SORT_STEPS = 6
 _MAX_WORKERS = 2
 _BISECT_ROUNDS = 46  # bisection rounds; they leave brackets of [0, 1/2] 2**-47 < 1e-14 wide
 _BAND_GRID = 1001  # points of the uniform grid of [0,1] that effective_band scans
+_FLOAT_MAX = sys.float_info.max  # the _check_in bound of a finite value
 
 
 def _in_float_range(op: Callable, *args):
@@ -59,6 +61,38 @@ def _in_float_range(op: Callable, *args):
         x = args[0]
         size = f" of {x.bit_length()} bits" if isinstance(x, int) else ""
         raise DomainError(f"an int{size} lies beyond the float range") from exc
+
+
+def _shown(x) -> str:
+    """repr(x) for an error message; an int past the int-to-str digit limit by its size."""
+    try:
+        return repr(x)
+    except ValueError:  # a huge int's repr raises
+        return f"<an int of {x.bit_length()} bits>"
+
+
+def _check_in(x, lo: float, hi: float, what: str):
+    """x if lo <= x <= hi (a NaN fails), else DomainError "{what}, got x", or _in_float_range's
+    for a huge int.  Bounds: 5e-324 for > 0, nextafter(1, 0) for < 1, +-_FLOAT_MAX for finite."""
+    if lo <= x <= hi:
+        return x
+    if isinstance(x, int):
+        _in_float_range(float, x)
+    raise DomainError(f"{what}, got {_shown(x)}")
+
+
+def _probabilities(values, what: str) -> tuple:
+    """values as floats; DomainError unless one at least, each in [0, 1], summing to 1 +- 1e-12."""
+    probs = _in_float_range(tuple, map(float, values))
+    if not probs:
+        raise DomainError(f"{what} must have at least one entry")
+    # written so that a NaN fails; entries in [0, 1] also keep fsum from overflowing
+    if not all(0.0 <= p <= 1.0 for p in probs):
+        raise DomainError(f"{what} must lie in [0, 1]")
+    total = math.fsum(probs)
+    if not abs(total - 1.0) <= 1e-12:
+        raise DomainError(f"{what} must sum to 1, got {total!r}")
+    return probs
 
 
 def _is_finite_scalar(x) -> bool:
@@ -194,7 +228,8 @@ class _Folded:
         if _is_finite_scalar(p):
             return _fold_float(self.half[0], float(p), 1)  # float32 would compute in float32
         p = _in_float_range(np.asarray, p, float)
-        return _unfold(p, self.half[1](_fold(p)))
+        with np.errstate(invalid="ignore"):  # sin(+-inf) is NaN: NaN propagates
+            return _unfold(p, self.half[1](_fold(p)))
 
 
 #: the sine generator's maps, see make_sine_generator
@@ -254,20 +289,13 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
     1/2.  The inverse branch bisects [0, 1/2]; monotonicity makes it
     converge, as each of the ``_BISECT_ROUNDS`` rounds halves every bracket.
     """
-    gens = list(gens)
-    weights = _in_float_range(list, map(float, weights))
-    if not gens:
-        raise DomainError("convex_combine requires at least one generator")
-    if len(gens) != len(weights):
-        raise DomainError("one weight per generator required")
-    # written so that a NaN fails; weights in [0, 1] also keep fsum from overflowing
-    if not all(0.0 <= w <= 1.0 for w in weights):
-        raise DomainError("weights must lie in [0, 1]")
-    total = math.fsum(weights)
-    if not abs(total - 1.0) <= 1e-12:
-        raise DomainError(f"weights must sum to 1, got {total!r}")
-
     gen_tuple = tuple(gens)
+    if not gen_tuple:
+        raise DomainError("convex_combine requires at least one generator")
+    if len(gen_tuple) != len(weights):
+        raise DomainError("one weight per generator required")
+    weights = _probabilities(weights, "weights")
+    total = math.fsum(weights)
     w_tuple = tuple(w / total for w in weights)
 
     def lower(t):
@@ -494,7 +522,7 @@ class ExtendedGenerator:
         except TypeError:
             steps = _level(k)  # raises its LevelRangeError
         if steps > LEVEL_CAP:
-            raise LevelRangeError(f"|k| = {steps} exceeds the iteration cap {LEVEL_CAP}")
+            raise LevelRangeError(f"|k| = {_shown(steps)} exceeds the iteration cap {LEVEL_CAP}")
         half = self._up if k > 0 else self._down
         if _is_finite_scalar(x):
             x = float(x)
@@ -569,8 +597,8 @@ def effective_band(egen: ExtendedGenerator, resolution: float,
     If either scan reaches ``k_cap`` without converging the report carries a
     saturation flag.
     """
-    if not (0.0 < resolution < 1.0):
-        raise DomainError("resolution must lie strictly between 0 and 1")
+    _check_in(resolution, 5e-324, math.nextafter(1.0, 0.0),
+              "resolution must lie strictly between 0 and 1")
     k_cap = _level(k_cap)
     grid = np.linspace(0.0, 1.0, _BAND_GRID)
     saturated = False

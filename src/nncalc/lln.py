@@ -24,18 +24,11 @@ import numpy as np
 
 from .arithmetic import _check_base
 from .errors import ApplicabilityError, DomainError
-from .generator import _BLOCK, ExtendedGenerator, _in_float_range, sine_extended
+from .generator import (_BLOCK, _FLOAT_MAX, ExtendedGenerator, _check_in, _in_float_range, _shown,
+                        sine_extended)
 
 #: the largest N at which every C(N, n) is a finite float (C(1030, 515) ~ 2.9e308)
 _COMB_FINITE_MAX = 1029
-
-
-def _shown(x, show=str) -> str:
-    """show(x) for an error message; an int beyond the int-to-str digit limit by its size."""
-    try:
-        return show(x)
-    except ValueError:  # a huge int's str and repr raise
-        return f"<an int of {x.bit_length()} bits>"
 
 
 @dataclass(frozen=True)
@@ -51,9 +44,7 @@ class LevelBinomial:
     def __post_init__(self):
         if self.N < 1:
             raise DomainError("trial count must be a positive integer")
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(
-                f"success probability must lie in [0,1], got {_shown(self.p, repr)}")
+        _check_in(self.p, 0.0, 1.0, "success probability must lie in [0,1]")
 
     def effective(self) -> tuple[float, float]:
         """(g^{k-l}(p), g^{k-l}(1 - p)): success and failure probabilities, levels collapsed."""
@@ -113,8 +104,7 @@ def moments(dist: LevelBinomial) -> tuple[float, float]:
 def _deviation_bound(num: float, N: float, eps: float) -> float:
     """num / (N eps^2), the base-level Chebyshev ratio; DomainError unless eps is
     positive and finite and so is the ratio."""
-    if not (_in_float_range(math.isfinite, eps) and eps > 0.0):  # a NaN fails too
-        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+    _check_in(eps, 5e-324, _FLOAT_MAX, "eps must be positive and finite")
     try:
         ratio = num / (N * eps ** 2)
     except ZeroDivisionError:  # eps^2 is 0 below about 1e-162

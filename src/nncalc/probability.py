@@ -23,14 +23,13 @@ import numpy as np
 
 from .arithmetic import ArithmeticContext, _pull_finite, _push_finite, level_prod, level_sum
 from .errors import ConfigError, DomainError
-from .generator import ExtendedGenerator, _in_float_range, _record, sine_extended
+from .generator import (ExtendedGenerator, _check_in, _in_float_range, _probabilities, _record,
+                        _shown, sine_extended)
 
 
 def level_shift(p: float, k: int, egen: ExtendedGenerator = sine_extended()) -> float:
     """The level-k image g^k(p) of a probability, again in [0,1]."""
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"probability must lie in [0,1], got {p!r}")
-    return egen.iterate(p, k)
+    return egen.iterate(_check_in(p, 0.0, 1.0, "probability must lie in [0,1]"), k)
 
 
 def normalization_residual(p: float, k: int, l: int,
@@ -78,11 +77,7 @@ class CondNode:
     children: tuple["CondNode", "CondNode"] | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.p0 <= 1.0 and 0.0 <= self.p1 <= 1.0):
-            raise DomainError("conditional probabilities must lie in [0,1]")
-        if abs(self.p0 + self.p1 - 1.0) > 1e-12:
-            raise DomainError(
-                f"children probabilities must sum to 1, got {self.p0 + self.p1!r}")
+        _probabilities((self.p0, self.p1), "conditional probabilities")
         if self.children is not None and len(self.children) != 2:
             raise DomainError("a conditional node has exactly two children")
 
@@ -115,7 +110,7 @@ def _number(obj: dict, key: str, convert: Callable, default):
     try:
         return convert(obj.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:  # int() of inf overflows
-        raise ConfigError(f"tree key {key!r} must be a number, got {obj[key]!r}") from exc
+        raise ConfigError(f"tree key {key!r} must be a number, got {_shown(obj[key])}") from exc
 
 
 def make_node(obj: dict) -> CondNode:
@@ -204,9 +199,7 @@ def singlet_table(theta: float) -> np.ndarray:
     as exact complements of the diagonal ones so that every row and column
     sums to exactly 1/2 in floating point.
     """
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
-    s = math.sin(0.5 * theta) ** 2
+    s = math.sin(0.5 * _check_in(theta, 0.0, math.pi, "theta must lie in [0, pi]")) ** 2
     c = 1.0 - s
     return np.array([[0.5 * s, 0.5 * c],
                      [0.5 * c, 0.5 * s]])

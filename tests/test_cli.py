@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nncalc import cli, probability
+from nncalc import cli, entropy, probability
 from nncalc.cli import build_parser, run
 from nncalc.errors import QuadratureError
 
@@ -258,8 +258,10 @@ def test_parse_error_exits_2_and_run_still_works(tmp_path):
     assert code == 0 and data.decode().splitlines()[0] == "a,b,p"
 
 
-def test_numeric_failure_exit_code(capsys):
-    # an alpha extreme enough to underflow the averaging route to -inf
+def test_numeric_failure_exit_code(capsys, monkeypatch):
+    # alpha = 5000 underflowed the Renyi sum to an entropy of inf; that is mended,
+    # and no documented input leaves a non-finite value any more, so one is planted
+    monkeypatch.setattr(entropy, "renyi_kn", lambda dist, alpha: math.inf)
     assert run(["entropy", "--probs", "0.5,0.5", "--alpha", "5000"]) == 3
     capsys.readouterr()
 

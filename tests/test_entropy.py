@@ -1,8 +1,11 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from nncalc.cli import run
 from nncalc.entropy import (
     Distribution,
     g_log_info,
@@ -170,17 +173,27 @@ def _kn_term_oracle(p, one_minus):
         return math.exp(math.log(p) + x)
 
 
+def _renyi_tail_oracle(dist, alpha, total):
+    """ln(total) / (1 - alpha), or at alpha = inf -ln max p, and where total is below
+    the normal range ln(sum p^alpha) / (1 - alpha) with max p factored out."""
+    top = max(dist.probs)
+    if alpha == math.inf:
+        return -math.log(top)
+    if total < sys.float_info.min:
+        scaled = math.fsum((p / top) ** alpha for p in dist.support())
+        return math.log(top) * (alpha / (1.0 - alpha)) + math.log(scaled) / (1.0 - alpha)
+    return math.log(total) / (1.0 - alpha)
+
+
 def _renyi_kn_oracle(dist, alpha):
-    """renyi_kn with its own alpha check, window and limit, the form before _renyi."""
+    """renyi_kn with its own alpha check, window and tail, the form before _renyi."""
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     if abs(1.0 - alpha) < 1e-8:
         return shannon(dist)
     one_minus = 1.0 - alpha
     avg = math.fsum(_kn_term_oracle(p, one_minus) for p in dist.support())
-    if avg == 0.0:
-        return math.inf if alpha > 1.0 else -math.inf
-    return math.log(avg) / one_minus
+    return _renyi_tail_oracle(dist, alpha, avg)
 
 
 def _renyi_closed_oracle(dist, alpha):
@@ -188,10 +201,7 @@ def _renyi_closed_oracle(dist, alpha):
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     if abs(1.0 - alpha) < 1e-8:
         return shannon(dist)
-    total = math.fsum(p ** alpha for p in dist.support())
-    if total == 0.0:
-        return math.inf if alpha > 1.0 else -math.inf
-    return math.log(total) / (1.0 - alpha)
+    return _renyi_tail_oracle(dist, alpha, math.fsum(p ** alpha for p in dist.support()))
 
 
 def _outcome(fn, dist, alpha):
@@ -217,3 +227,31 @@ def test_both_routes_keep_the_bits_of_their_own_tails(rng):
             for route, oracle in ((renyi_kn, _renyi_kn_oracle),
                                   (renyi_closed, _renyi_closed_oracle)):
                 assert _outcome(route, dist, alpha) == _outcome(oracle, dist, alpha)
+
+
+@pytest.mark.parametrize("alpha", [2000.0, 1e6, 1e300, math.inf])
+def test_large_orders_against_mpmath(alpha):
+    # every p^alpha underflowed to 0, which gave inf; at alpha = inf a term of
+    # p = 1 was (1 - inf) * -ln 1, a NaN.  Renyi entropy lies in [-ln max p, ln n]
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    dists = [[0.7, 0.3], [0.5, 0.5], [0.5, 0.25, 0.125, 0.125], [1e-300, 1.0], [0.1] * 10,
+             [0.999, 0.001], [0.4, 0.35, 0.25]]
+    for probs in dists:
+        dist = Distribution(probs)
+        ps = [mpmath.mpf(p) for p in dist.support()]
+        if alpha == math.inf:
+            want = -mpmath.log(max(ps))
+        else:
+            want = mpmath.log(mpmath.fsum(p ** alpha for p in ps)) / (1 - mpmath.mpf(alpha))
+        for route in (renyi_kn, renyi_closed):
+            got = route(dist, alpha)
+            assert abs(got - want) <= 2 * math.ulp(float(want)), (probs, route.__name__, got)
+
+
+def test_cli_entropy_at_a_large_order_is_finite(capsys):
+    # this exited 3 with "non-finite value in output"
+    assert run(["entropy", "--probs", "0.5,0.5", "--alpha", "2000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["renyi_kn"] == pytest.approx(math.log(2.0), rel=1e-15)
+    assert out["renyi_closed"] == pytest.approx(math.log(2.0), rel=1e-15)

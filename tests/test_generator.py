@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nncalc
+import test_contract as contract
 from conftest import resolvable, run_python
 from nncalc import generator
 from nncalc.errors import ConfigError, DomainError, LevelRangeError
@@ -583,63 +584,21 @@ def test_scalar_path_edge_values(x):
         _assert_scalar_matches_array(egen, levels, x)
 
 
-def test_an_int_beyond_the_float_range_is_a_domain_error(sine_gen):
-    egen = sine_extended()
-    calls = [lambda: egen.forward(10**400), lambda: egen.inverse(-10**400),
-             lambda: egen.iterate(10**400, 2), lambda: egen.iterate(10**400, 0),
-             lambda: sine_gen.forward(10**400), lambda: CONVEX.inverse(10**400)]
-    for call in calls:
+def test_an_int_beyond_the_float_range_is_a_domain_error():
+    big = contract.HUGE
+    cases = [("forward", {0: big}), ("inverse", {0: -big}), ("iterate", {0: big}),
+             ("iterate", {0: big, 1: 0}), ("sine_forward", {0: big}), ("convex_inverse", {0: big})]
+    for row, slots in cases:
         with pytest.raises(DomainError, match="beyond the float range"):
-            call()
+            contract.call(row, slots)
 
 
-def _huge_int_calls():
-    from nncalc import bell, entropy, fubini, gcomplex, lln, probability
-    from nncalc.calculus import LevelFunction, integrate_base, nn_derivative
-
-    big, egen, half = 10**400, sine_extended(), entropy.Distribution([0.5, 0.5])
-    return {
-        "hidden_overlap": lambda: bell.hidden_overlap(big, 0.0),
-        "overlap_integral": lambda: bell.overlap_integral(0.0, big),
-        "ch_scan": lambda: bell.ch_scan(big),
-        "ch_value_level0": lambda: bell.ch_value_level0((big, 0, 0, 0)),
-        "ch_value_level1": lambda: bell.ch_value_level1([0, big, 0, 0]),
-        "indicator": lambda: bell.HalfCircleChar(big).indicator(0.3),
-        "breakpoints": lambda: bell.HalfCircleChar(big).breakpoints(),
-        "gmap_forward": lambda: bell.GMap(egen).forward(big),
-        "gmap_inverse": lambda: bell.GMap(egen).inverse(big),
-        "gmap_iterate": lambda: bell.GMap(egen).iterate(big, 2),
-        "integrate_base": lambda: integrate_base(math.sin, 0.0, big),
-        "alpha_of_theta": lambda: probability.alpha_of_theta(big),
-        "Distribution": lambda: entropy.Distribution([big, 1]),
-        "renyi_kn": lambda: entropy.renyi_kn(half, big),
-        "renyi_closed": lambda: entropy.renyi_closed(half, big),
-        "simulate": lambda: lln.simulate(lln.LevelBinomial(N=10, p=0.5), big, 10, 1),
-        "fig3_table": lambda: lln.fig3_table([0], [10], big),
-        "moments": lambda: lln.moments(lln.LevelBinomial(N=big, p=0.3)),
-        "forward_list": lambda: egen.forward([big, 0.5]),
-        "iterate_list": lambda: egen.iterate([0.5, -big], 3),
-        "sine_forward_list": lambda: make_sine_generator().forward([big]),
-        "h_view": lambda: h_view(make_sine_generator(), [big]),
-        "convex_weights": lambda: convex_combine([make_sine_generator()], [big]),
-        "to_base": lambda: gcomplex.to_base(gcomplex.PairArithmetic.default_sine(),
-                                            gcomplex.GComplex(big, 0.0)),
-        "nn_derivative_step": lambda: nn_derivative(LevelFunction(math.sin, egen, 0, 0), 0.3,
-                                                    step=big),
-        "geodesic_distance": lambda: fubini.geodesic_distance([big, 1], [1, 0]),
-        "projector_form": lambda: fubini.projector_form([0, big]),
-        "form_evaluate": lambda: fubini.projector_form([1, 0]).evaluate([big, 0]),
-        "lifted_form_value": lambda: fubini.lifted_form_value(fubini.projector_form([1, 0]),
-                                                              [0, big]),
-    }
-
-
-@pytest.mark.parametrize("name", list(_huge_int_calls()))
+@pytest.mark.parametrize("name", list(contract.HUGE_INT_CASES))
 def test_entry_points_reject_an_int_beyond_the_float_range(name):
     # each raised a raw OverflowError, but for convex_weights and moments, whose
     # own handlers worded the DomainError otherwise
     with pytest.raises(DomainError, match="an int( of 1329 bits)? lies beyond the float range"):
-        _huge_int_calls()[name]()
+        contract.call(*contract.HUGE_INT_CASES[name])
 
 
 @pytest.mark.parametrize("call, level", [

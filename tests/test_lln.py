@@ -246,7 +246,7 @@ def test_an_int_too_long_to_print_is_named_by_its_bits():
              (lambda: pmf(LevelBinomial(N=huge, p=0.5), 3), "float range"),
              (lambda: pmf(LevelBinomial(N=10, p=0.5), huge), "n must lie"),
              (lambda: pmf_base_vector(LevelBinomial(N=huge, p=0.5)), "float range"),
-             (lambda: LevelBinomial(N=1, p=huge), "success probability")]
+             (lambda: LevelBinomial(N=1, p=huge), "float range")]
     for call, what in cases:
         with pytest.raises(DomainError, match=what) as caught:
             call()
