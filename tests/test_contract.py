@@ -269,13 +269,16 @@ def _breach(name: str, slots: dict):
         return None
     except Exception as exc:
         return f"raised {type(exc).__name__}: {str(exc)[:80]}"
-    return None if _finite(out, nan_ok) else f"returned {out!r}"[:120]
+    return None if _finite(out, nan_ok) else f"returned {_text(out)}"
 
 
-def _label(slots: dict) -> str:
-    shown = {i: f"an int of {v.bit_length()} bits" if isinstance(v, int) else repr(v)
-             for i, v in slots.items()}
-    return ", ".join(f"slot {i} = {v}" for i, v in shown.items()) or "the ordinary call"
+def _text(value) -> str:
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an int of {value.bit_length()} bits"
+    try:
+        return repr(value)[:120]
+    except ValueError:  # it holds an int past the int-to-str digit limit
+        return f"a {type(value).__name__} holding an int too long to print"
 
 
 @pytest.mark.parametrize("name", list(ROWS))
@@ -283,8 +286,12 @@ def test_a_public_callable_returns_a_finite_value_or_raises_an_nncalc_error(name
     _, args, kinds = ROWS[name]
     assert len(args) == len(kinds), name
     cases = [{}] + [{i: v} for i, kind in enumerate(kinds) for v in HOSTILE[kind]]
-    breaches = [f"{_label(slots)}: {what}" for slots in cases
-                if (what := _breach(name, slots)) is not None]
+    breaches = []
+    for slots in cases:
+        what = _breach(name, slots)
+        if what is not None:
+            where = ", ".join(f"slot {i} = {_text(v)}" for i, v in slots.items())
+            breaches.append(f"{where or 'the ordinary call'}: {what}")
     assert not breaches, breaches
 
 
