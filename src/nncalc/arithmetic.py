@@ -131,8 +131,11 @@ def power(ctx: ArithmeticContext, x: float, n: int) -> float:
     if n < 1:
         raise DomainError("power exponent must be a positive integer")
     px = _pull_finite(ctx.egen, ctx.level, "power", x)
-    base = _inf_on_overflow(operator.pow, px, n, negative=px < 0.0 and n % 2 == 1)
-    return _push_finite(ctx.egen, ctx.level, "power", base)
+    try:  # the sign from n's parity, as float ** int rounds an n beyond 2**53
+        size = abs(px) ** n
+    except OverflowError:  # the result, or n itself, lies beyond the float range
+        size = math.inf if abs(px) > 1.0 else float(abs(px) == 1.0)
+    return _push_finite(ctx.egen, ctx.level, "power", -size if px < 0.0 and n % 2 else size)
 
 
 def compare(x: float, y: float) -> str:

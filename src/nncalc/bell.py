@@ -10,9 +10,7 @@ Joint singlet probabilities arise by lifting the overlap through
 G(x) = g(2x)/2, which fixes 0, 1/4 and 1/2.  The Clauser-Horne four-term
 combination of conditionals is evaluated once with level-1 operations
 (where, for the sine generator, it provably stays inside [0,2]) and once
-with ordinary arithmetic (where it reaches 1 + sqrt 2).  ``ch_scan`` pulls
-the conditionals back through the sine's closed form 1 - d/pi, so its
-level-1 maximum is that of ``ch_value_level1`` for the sine generator only.
+with ordinary arithmetic (where it reaches 1 + sqrt 2).
 """
 
 from __future__ import annotations
@@ -263,7 +261,7 @@ def ch_scan(resolution: float, egen: ExtendedGenerator = sine_extended()) -> ChS
     grid = np.arange(n) * step
     red = reduced_angle(grid)                   # reduced angle of each grid offset
     tcache = np.cos(0.5 * red) ** 2             # level-1 conditionals
-    pcache = 1.0 - red / np.pi                  # their base-level pullbacks
+    pcache = egen.inverse(tcache)               # their base-level pullbacks
 
     best0, arg0 = _scan_max(tcache)
     best_s, arg1 = _scan_max(pcache)

@@ -80,18 +80,18 @@ class LevelFunction:
         return self._like(lambda r: cb * f(r))
 
 
-def nn_derivative(fn: LevelFunction, x: float, step: float | None = None) -> float:
+def nn_derivative(fn: LevelFunction, x: float) -> float:
     """Derivative of a level function at x.
 
     Central differences on the base at r = g^{-k}(x) with one Richardson
-    refinement, step h = max(1, |r|) * eps^(1/3) unless given, and then
-    finite and at least 1e-323, where half of it is still positive (DomainError
-    otherwise).  The result is pushed to the target level.
+    refinement and step h = max(1, |r|) * eps^(1/3); an r so near the top of
+    the float range that r +- h overflows is a DomainError.  The result is
+    pushed to the target level.
     """
-    if step is not None:
-        _check_in(step, 1e-323, _FLOAT_MAX, "nn_derivative: step must be finite, >= 1e-323")
     r = _pull_finite(fn.egen, fn.source_level, "nn_derivative", x)
-    h = step if step is not None else max(1.0, abs(r)) * _EPS_CBRT
+    h = max(1.0, abs(r)) * _EPS_CBRT
+    if abs(r) + h > _FLOAT_MAX:  # the farther of r - h and r + h, inf on overflow
+        raise DomainError(f"nn_derivative: the step from r = {r!r} leaves the float range")
     f = fn.base
 
     def central(hh: float) -> float:

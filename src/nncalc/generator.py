@@ -48,6 +48,7 @@ _SORT_STEPS = 6
 _MAX_WORKERS = 2
 _BISECT_ROUNDS = 46  # bisection rounds; they leave brackets of [0, 1/2] 2**-47 < 1e-14 wide
 _BAND_GRID = 1001  # points of the uniform grid of [0,1] that effective_band scans
+_VALIDATE_GRID = 10_000  # points of the uniform grid of [0,1] that validate_generator checks
 _FLOAT_MAX = sys.float_info.max  # the _check_in bound of a finite value
 
 
@@ -310,14 +311,14 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
                      _Folded(lower_inverse, lower_inverse))
 
 
-def validate_generator(gen: Generator, grid_points: int = 10_000, tol: float = 1e-12) -> None:
+def validate_generator(gen: Generator) -> None:
     """Check the defining invariants on a uniform grid; raise DomainError on failure.
 
-    Verified: forward stays in [0, 1], endpoint fixing within 1 ulp, strict
-    monotonicity, inverse round-trip within ``tol``, and the complement
-    functional equation within ``tol``.
+    Verified on 10**4 points: forward stays in [0, 1], endpoint fixing within
+    1 ulp, strict monotonicity, inverse round-trip within 1e-12, and the
+    complement functional equation within 1e-12.
     """
-    p = np.linspace(0.0, 1.0, grid_points)
+    p = np.linspace(0.0, 1.0, _VALIDATE_GRID)
     fp = np.asarray(gen.forward(p), dtype=float)
     if not (fp.min() >= 0.0 and fp.max() <= 1.0):  # a NaN fails
         raise DomainError(f"{gen.name}: forward leaves [0, 1]: range [{fp.min()!r}, {fp.max()!r}]")
@@ -327,10 +328,10 @@ def validate_generator(gen: Generator, grid_points: int = 10_000, tol: float = 1
         raise DomainError(f"{gen.name}: forward not strictly increasing on the grid")
     back = np.asarray(gen.inverse(fp), dtype=float)
     worst_rt = float(np.max(np.abs(back - p)))
-    if worst_rt > tol:
+    if worst_rt > 1e-12:
         raise DomainError(f"{gen.name}: inverse round-trip off by {worst_rt:.3e}")
     resid = float(np.max(np.abs(fp + np.asarray(gen.forward(1.0 - p)) - 1.0)))
-    if resid > tol:
+    if resid > 1e-12:
         raise DomainError(f"{gen.name}: complement equation violated by {resid:.3e}")
 
 
@@ -587,32 +588,30 @@ class BandReport:
     saturated: bool = False
 
 
-def effective_band(egen: ExtendedGenerator, resolution: float,
-                   k_cap: int = LEVEL_CAP) -> BandReport:
+def effective_band(egen: ExtendedGenerator, resolution: float) -> BandReport:
     """Smallest band outside which successive iterates are indistinguishable.
 
     ``k_max`` is the smallest k >= 0 such that max_p |g^{k+1}(p) - g^k(p)|
     over a uniform grid of [0,1] drops below ``resolution``; ``k_min`` is the
     symmetric count for the inverse iterates, reported with a negative sign.
-    If either scan reaches ``k_cap`` without converging the report carries a
-    saturation flag.
+    If either scan reaches ``LEVEL_CAP`` without converging the report carries
+    a saturation flag.
     """
     _check_in(resolution, 5e-324, math.nextafter(1.0, 0.0),
               "resolution must lie strictly between 0 and 1")
-    k_cap = _level(k_cap)
     grid = np.linspace(0.0, 1.0, _BAND_GRID)
     saturated = False
 
     def scan(step_fn) -> int:
         nonlocal saturated
         cur = grid.copy()
-        for k in range(k_cap + 1):
+        for k in range(LEVEL_CAP + 1):
             nxt = np.asarray(step_fn(cur))
             if float(np.max(np.abs(nxt - cur))) < resolution:
                 return k
             cur = nxt
         saturated = True
-        return k_cap
+        return LEVEL_CAP
 
     k_max = scan(egen.forward)
     k_min = -scan(egen.inverse)

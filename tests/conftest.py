@@ -100,14 +100,20 @@ def resolvable(*values, margin=1e-7):
     return all(abs(v - round(v)) > margin for v in values)
 
 
-def run_python(code: str, timeout: float = 60.0) -> str:
-    """Run ``code`` in a fresh interpreter that imports this nncalc; return its
-    stdout.  A non-zero exit fails, and so does a run past ``timeout`` seconds,
-    so a call that hangs fails the test instead of stalling the suite."""
+def python_process(args: list, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this nncalc on ``args``; its output
+    is bytes.  A run past ``timeout`` seconds fails, so a call that hangs fails
+    the test instead of stalling the suite."""
     src = str(Path(nncalc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=timeout)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          timeout=timeout)
+
+
+def run_python(code: str, timeout: float = 60.0) -> str:
+    """Run ``code`` in a fresh interpreter that imports this nncalc; return its
+    stdout.  A non-zero exit fails, as a run past ``timeout`` seconds does."""
+    done = python_process(["-c", code], timeout)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode()

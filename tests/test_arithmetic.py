@@ -125,6 +125,22 @@ def test_power(sine_eg, rng):
         assert power(ctx, x, n) == pytest.approx(acc, abs=1e-10)
 
 
+@pytest.mark.parametrize("level", [0, 1, -1])
+@pytest.mark.parametrize("n", [2**53 + 1, 2**53 + 2, 10**400, 10**400 + 1],
+                         ids=["2**53+1", "2**53+2", "10**400", "10**400+1"])
+def test_power_of_an_exponent_beyond_two_to_the_53(sine_eg, level, n):
+    # n was converted to float: 10**400 overflowed to a "base-level result inf"
+    # and 2**53 + 1 rounded to an even exponent, so (-1)**n gave 1.0
+    ctx = ctx_at(sine_eg, level)  # the levels fix 0.5 and the integers
+    assert power(ctx, 0.5, n) == 0.0
+    assert power(ctx, -0.5, n) == 0.0
+    assert power(ctx, 1.0, n) == 1.0
+    assert power(ctx, -1.0, n) == (-1.0 if n % 2 else 1.0)
+    sign = "-" if n % 2 else ""
+    with pytest.raises(DomainError, match=f"base-level result {sign}inf is not finite"):
+        power(ctx, -2.0, n)
+
+
 def test_compare(sine_eg):
     assert compare(0.2, 0.7) == "less"
     assert compare(0.7, 0.2) == "greater"

@@ -28,7 +28,14 @@ from nncalc.bell import (
 )
 from nncalc.calculus import LevelFunction, nn_integral
 from nncalc.errors import DomainError, LevelRangeError
-from nncalc.generator import LEVEL_CAP, sine_extended
+from nncalc.generator import (
+    LEVEL_CAP,
+    ExtendedGenerator,
+    convex_combine,
+    make_identity_generator,
+    make_sine_generator,
+    sine_extended,
+)
 from nncalc.probability import singlet_table
 
 TWO_PI = 2.0 * math.pi
@@ -340,7 +347,7 @@ def _ch_scan_loop(resolution, egen=sine_extended()):
     grid = np.arange(n) * step
     red = np.pi - np.abs(np.pi - grid)          # reduced angle of each grid offset
     tcache = np.cos(0.5 * red) ** 2             # level-1 conditionals
-    pcache = 1.0 - red / np.pi                  # their base-level pullbacks
+    pcache = egen.inverse(tcache)               # their base-level pullbacks
 
     idx = np.arange(n)
     t_b = tcache[(-idx) % n]                    # t(a=0, b)
@@ -395,6 +402,17 @@ def test_ch_scan_equals_loop_on_any_grid(identity_eg, n, identity):
     # n > 256 takes several chunks, most of them with a short last one
     egen = identity_eg if identity else sine_extended()
     _assert_same_report(ch_scan(TWO_PI / n, egen), _ch_scan_loop(TWO_PI / n, egen))
+
+
+def test_ch_scan_pulls_the_conditionals_back_through_its_generator():
+    # the scan pulled back through the sine's closed form 1 - d/pi whatever the
+    # generator, and gave max1 = 2.0 for this one, below this quad's 2.153
+    egen = ExtendedGenerator(convex_combine([make_sine_generator(), make_identity_generator()],
+                                            [0.5, 0.5]))
+    report = ch_scan(TWO_PI / 24, egen)
+    assert report.max1 == 2.1529787403112937
+    assert not report.tsirelson_check
+    assert report.max1 == ch_value_level1(report.argmax1, egen)
 
 
 @pytest.mark.parametrize("chunk_elems", [1, 72 * 5 + 3, 72 * 72])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import python_process
 from nncalc import cli, entropy, probability
 from nncalc.cli import build_parser, run
 from nncalc.errors import QuadratureError
@@ -432,3 +433,13 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch):
         except SystemExit as exc:
             code = exc.code
         assert code == 0, args
+
+
+def test_the_module_entry_point_exits_with_the_code_of_run():
+    # main(), the console script's entry point, runs only in a process of its own
+    done = python_process(["-m", "nncalc.cli", "arith", "--level", "1", "--op", "mul", "0.5",
+                           "0.5"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (Path(__file__).parent / "golden" / "arith.txt").read_bytes()
+    done = python_process(["-m", "nncalc.cli", "iterate", "--levels", "1", "--grid", "1"])
+    assert done.returncode == 2 and done.stdout == b"", done.stderr

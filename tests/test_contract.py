@@ -79,8 +79,8 @@ ROWS = {
     "generator_from_config": (
         lambda w: generator_from_config({"name": "convex", "components": ["sine", "identity"],
                                          "weights": [w, 0.5]}), (0.5,), "f"),
-    "validate_generator": (lambda tol: validate_generator(SINE, 101, tol), (1e-12,), "f"),
-    "effective_band": (lambda r, k_cap: effective_band(EGEN, r, k_cap), (0.01, 64), "fi"),
+    "validate_generator": (lambda: validate_generator(SINE), (), ""),
+    "effective_band": (lambda r: effective_band(EGEN, r), (0.01,), "f"),
     # arithmetic
     "arith": (lambda x, y, level: arithmetic.arith(_ctx(level), "add", x, y), (0.3, 0.4, 1),
               "ffi"),
@@ -94,7 +94,7 @@ ROWS = {
     # calculus
     "LevelFunction.value": (FN.value, (0.3,), "f"),
     "scaled_by": (FN.scaled_by, (0.3,), "f"),
-    "nn_derivative": (lambda x, step: calculus.nn_derivative(FN, x, step), (0.3, 1e-3), "ff"),
+    "nn_derivative": (lambda x: calculus.nn_derivative(FN, x), (0.3,), "f"),
     "nn_integral": (lambda a, b, tol: calculus.nn_integral(FN, a, b, tol), (0.1, 0.4, 1e-10),
                     "fff"),
     "integrate_base": (lambda a, b, tol: calculus.integrate_base(math.sin, a, b, tol),
@@ -219,7 +219,6 @@ HUGE_INT_CASES = {
     "h_view": ("h_view", {0: HUGE}),
     "convex_weights": ("convex_weights", {0: HUGE}),
     "to_base": ("to_base", {0: HUGE}),
-    "nn_derivative_step": ("nn_derivative", {1: HUGE}),
     "geodesic_distance": ("geodesic_distance", {0: HUGE}),
     "projector_form": ("projector_form", {0: HUGE}),
     "form_evaluate": ("form_evaluate", {0: HUGE}),

@@ -233,11 +233,14 @@ def test_lifted_form_rejects_non_finite():
 
 def test_lifted_form_whose_terms_overflow():
     # finite inputs whose terms overflow, to inf - inf or to inf * 0: the sum
-    # is rejected, and numpy warns of neither first
-    zero = np.zeros((2, 2))
+    # is rejected, and numpy warns of neither first; in the last case fsum
+    # overflows on a partial sum of finite terms before an inf term, and the
+    # exact fallback, which cannot take an inf, must reject the sum too
     cases = [(np.diag([1.0, -1.0]), [1e200, 1e200]),
-             (np.array([[0.0, 1e200], [0.0, 0.0]]), [1e200, 0.0])]
+             (np.array([[0.0, 1e200], [0.0, 0.0]]), [1e200, 0.0]),
+             (np.ones((3, 3)), [1e154, 1e154, 1e200])]
     for re_re, a in cases:
+        zero = np.zeros_like(re_re)
         form = RealQuadraticForm(re_re=re_re, im_im=zero, re_im=zero)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -391,7 +391,7 @@ def test_convex_random_weights_pass_invariants(rng):
         w = rng.uniform(0.05, 1.0, size=2)
         w = w / w.sum()
         combo = convex_combine(gens, [float(w[0]), float(w[1])])
-        validate_generator(combo, grid_points=2000, tol=1e-12)
+        validate_generator(combo)
 
 
 def test_effective_band_trivial_resolution(sine_eg):
@@ -412,9 +412,11 @@ def test_effective_band_sine(sine_eg):
 
 
 def test_effective_band_saturation(sine_eg):
-    report = effective_band(sine_eg, 1e-9, k_cap=5)
+    # the inverse scan reaches the cap: inverse iterates close in on 1/2 by a
+    # factor 2/pi a step, so at k = 64 successive ones still differ by ~1e-13
+    report = effective_band(sine_eg, 1e-14)
     assert report.saturated
-    assert report.k_max == 5
+    assert report.k_min == -LEVEL_CAP
 
 
 def test_effective_band_domain(sine_eg):
@@ -605,9 +607,7 @@ def test_entry_points_reject_an_int_beyond_the_float_range(name):
     (lambda: fubini_ladder(0.3, -3.0, 3), "-3.0"),
     (lambda: fubini_ladder(0.3, 0, 2.5), "2.5"),
     (lambda: fubini_ladder(0.3, "0", 2), "'0'"),
-    (lambda: effective_band(sine_extended(), 0.01, k_cap=2.5), "2.5"),
-    (lambda: effective_band(sine_extended(), 0.01, k_cap=None), "None"),
-], ids=["ladder-from", "ladder-to", "ladder-str", "band-float", "band-None"])
+], ids=["ladder-from", "ladder-to", "ladder-str"])
 def test_a_non_integer_level_of_a_ladder_or_band_raises(call, level):
     # range() raised a raw TypeError
     with pytest.raises(LevelRangeError, match=f"^level {re.escape(level)} is not an integer$"):
@@ -617,8 +617,6 @@ def test_a_non_integer_level_of_a_ladder_or_band_raises(call, level):
 @pytest.mark.parametrize("k", [np.int64(3), np.int32(-2), True, False])
 def test_integer_like_ladder_and_band_levels_keep_working(k):
     assert fubini_ladder(0.3, -abs(int(k)), k) == fubini_ladder(0.3, -abs(int(k)), int(k))
-    assert (effective_band(sine_extended(), 0.05, k_cap=k)
-            == effective_band(sine_extended(), 0.05, k_cap=int(k)))
 
 
 def test_scalar_path_matches_long_array_kernels(rng):
