@@ -25,11 +25,12 @@ from typing import Callable
 
 from .arithmetic import _inf_on_overflow, _pull_finite, _push_finite
 from .errors import DomainError, QuadratureError
-from .generator import _FLOAT_MAX, ExtendedGenerator, _check_in, _in_float_range
+from .generator import _FLOAT_MAX, ExtendedGenerator, _check_in
 
 _EPS_CBRT = float(2.0 ** -52) ** (1.0 / 3.0)
 _MAX_DEPTH = 48
 _MAX_EVALS = 100_000
+_TOL = 1e-10  # the absolute tolerance of every base integral, split evenly over its pieces
 _HALF_MAX = 0.5 * _FLOAT_MAX  # the largest bound for which a midpoint 0.5 (a + b) is finite
 
 
@@ -136,38 +137,36 @@ def _adaptive_simpson(f: Callable, a: float, b: float, tol: float):
     return recurse(a, m, b, fa, fm, fb, whole, tol, 0)
 
 
-def integrate_base(f: Callable, a: float, b: float, tol: float = 1e-10,
-                   breakpoints=()) -> float | complex:
+def integrate_base(f: Callable, a: float, b: float, *, breakpoints=()) -> float | complex:
     """Ordinary adaptive-Simpson integral of a real or complex base function, split at
     breakpoints; for a complex one the error estimates are moduli."""
     a, b = (float(_check_in(x, -_HALF_MAX, _HALF_MAX, "integration bounds must lie within "
                             "half the float range")) for x in (a, b))
-    tol = _in_float_range(float, tol)
     if b < a:
-        return -integrate_base(f, b, a, tol, breakpoints)
+        return -integrate_base(f, b, a, breakpoints=breakpoints)
     cuts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
     n_pieces = len(cuts) - 1
     total = 0.0
     err = 0.0
     ok = True
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        v, e, conv = _adaptive_simpson(f, lo, hi, tol / max(n_pieces, 1))
+        v, e, conv = _adaptive_simpson(f, lo, hi, _TOL / n_pieces)
         total += v
         err += e
         ok = ok and conv
     if not cmath.isfinite(total):
         raise QuadratureError("quadrature produced a non-finite value", estimate=total)
-    if not ok and err > tol:
+    if not ok and err > _TOL:
         raise QuadratureError(
-            f"quadrature did not converge (error estimate {err:.3e} > tol {tol:.3e})",
+            f"quadrature did not converge (error estimate {err:.3e} > tol {_TOL:.3e})",
             estimate=total)
     return total
 
 
-def nn_integral(fn: LevelFunction, a: float, b: float, tol: float = 1e-10) -> float:
+def nn_integral(fn: LevelFunction, a: float, b: float) -> float:
     """Integral of a level function over [a, b] in the level-k ordering.
 
-    ``tol`` is the absolute quadrature tolerance on the base integral.
+    The base integral is computed to the fixed absolute tolerance 1e-10.
     Raises QuadratureError (carrying the achieved estimate) when the
     subdivision cap is reached before convergence.
     """
@@ -175,7 +174,7 @@ def nn_integral(fn: LevelFunction, a: float, b: float, tol: float = 1e-10) -> fl
         raise DomainError("integration requires a <= b (the ordering is level independent)")
     ra = _pull_finite(fn.egen, fn.source_level, "nn_integral", a)
     rb = _pull_finite(fn.egen, fn.source_level, "nn_integral", b)
-    base_value = integrate_base(fn.base, ra, rb, tol=tol, breakpoints=fn.breakpoints)
+    base_value = integrate_base(fn.base, ra, rb, breakpoints=fn.breakpoints)
     return _push_finite(fn.egen, fn.target_level, "nn_integral", base_value)
 
 

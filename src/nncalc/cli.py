@@ -260,6 +260,9 @@ def run(argv=None) -> int:
     except (NncalcError, ValueError, OSError) as exc:
         print(f"nncalc: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"nncalc: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

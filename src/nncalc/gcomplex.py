@@ -193,8 +193,7 @@ def gc_pointwise_add(fn: ComplexLevelFunction, other: ComplexLevelFunction) -> C
     return ComplexLevelFunction(lambda r: complex(f(r)) + complex(g(r)), fn.domain, fn.target)
 
 
-def gc_scalar_product(A: ComplexLevelFunction, B: ComplexLevelFunction,
-                      T: float, tol: float = 1e-10) -> GComplex:
+def gc_scalar_product(A: ComplexLevelFunction, B: ComplexLevelFunction, T: float) -> GComplex:
     """Inner product of two complex-valued level functions over [-T/2, T/2] in X.
 
     Integrates conj(A~) B~ as one complex function over the pulled-back
@@ -206,6 +205,5 @@ def gc_scalar_product(A: ComplexLevelFunction, B: ComplexLevelFunction,
     """
     half = A.domain.forward(T) / 2.0
     fa, fb = A.base, B.base
-    z = integrate_base(lambda r: complex(fa(r)).conjugate() * complex(fb(r)),
-                       -half, half, tol=tol)
+    z = integrate_base(lambda r: complex(fa(r)).conjugate() * complex(fb(r)), -half, half)
     return from_base(A.target, complex(z))

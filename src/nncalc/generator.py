@@ -50,6 +50,7 @@ _BISECT_ROUNDS = 46  # bisection rounds; they leave brackets of [0, 1/2] 2**-47 
 _BAND_GRID = 1001  # points of the uniform grid of [0,1] that effective_band scans
 _VALIDATE_GRID = 10_000  # points of the uniform grid of [0,1] that validate_generator checks
 _FLOAT_MAX = sys.float_info.max  # the _check_in bound of a finite value
+_MAP_DOMAIN = "a generator map takes p in [0, 1]"  # finite p only: +-inf and NaN give NaN
 
 
 def _in_float_range(op: Callable, *args):
@@ -220,17 +221,23 @@ class _Folded:
 
     ``half`` is the branch as (float map, array map that may work in place): a
     finite scalar takes :func:`_fold_float`, all else :func:`_fold`, the array
-    map and :func:`_unfold`, which pins 1/2."""
+    map and :func:`_unfold`, which pins 1/2.  A finite p outside [0, 1] is a
+    DomainError on both paths."""
 
     def __init__(self, half_float: Callable, half_array: Callable):
         self.half = (half_float, half_array)
 
     def __call__(self, p):
-        if _is_finite_scalar(p):
-            return _fold_float(self.half[0], float(p), 1)  # float32 would compute in float32
+        if _is_finite_scalar(p):  # float(), as a float32 would compute in float32
+            return _fold_float(self.half[0], float(_check_in(p, 0.0, 1.0, _MAP_DOMAIN)), 1)
         p = _in_float_range(np.asarray, p, float)
+        t = _fold(p)
+        if (t < 0.0).any():  # exactly the lanes of p outside [0, 1]; +-inf among them gives NaN
+            bad = p[(t < 0.0) & np.isfinite(p)]
+            if bad.size:
+                raise DomainError(f"{_MAP_DOMAIN}, got {float(bad[0])!r}")
         with np.errstate(invalid="ignore"):  # sin(+-inf) is NaN: NaN propagates
-            return _unfold(p, self.half[1](_fold(p)))
+            return _unfold(p, self.half[1](t))
 
 
 #: the sine generator's maps, see make_sine_generator

@@ -195,12 +195,18 @@ def singlet_table(theta: float) -> np.ndarray:
 
     Entry [a][b] is the level-1 conditional g(p(a|b)) multiplied at level 0
     by g(p(b)) = 1/2; in closed form the diagonal is sin^2(theta/2)/2 and
-    the off-diagonal cos^2(theta/2)/2.  The off-diagonal entries are formed
-    as exact complements of the diagonal ones so that every row and column
-    sums to exactly 1/2 in floating point.
+    the off-diagonal cos^2(theta/2)/2.  The smaller of the two squares, sin^2
+    up to theta = pi/2 and cos^2 above, is computed directly and the other as
+    its complement: both keep full relative accuracy near 0 and pi, and every
+    row and column sums to exactly 1/2 in floating point.
     """
-    s = math.sin(0.5 * _check_in(theta, 0.0, math.pi, "theta must lie in [0, pi]")) ** 2
-    c = 1.0 - s
+    half = 0.5 * _check_in(theta, 0.0, math.pi, "theta must lie in [0, pi]")
+    if theta <= 0.5 * math.pi:
+        s = math.sin(half) ** 2
+        c = 1.0 - s
+    else:
+        c = math.cos(half) ** 2
+        s = 1.0 - c
     return np.array([[0.5 * s, 0.5 * c],
                      [0.5 * c, 0.5 * s]])
 

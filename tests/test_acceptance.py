@@ -149,7 +149,7 @@ def test_criterion_03_calculus_suite(sine_eg, rng):
                 continue
             checked_ft1 += 1
             deriv = LevelFunction(lambda r: nn_derivative(base00, r), sine_eg, k, l)
-            got = nn_integral(deriv, 0.15, 0.85, tol=1e-10)
+            got = nn_integral(deriv, 0.15, 0.85)
             want = arith(ArithmeticContext(sine_eg, l), "sub", vb, va)
             worst_ft1 = max(worst_ft1, abs(got - want))
             assert worst_ft1 < 1e-6, (k, l)
@@ -163,7 +163,7 @@ def test_criterion_03_calculus_suite(sine_eg, rng):
             fn = LevelFunction(base, sine_eg, k, l)
             ra = sine_eg.iterate(0.1, -k)
             running = LevelFunction(
-                lambda r, _b=base, _ra=ra: integrate_base(_b, _ra, r, tol=1e-12),
+                lambda r, _b=base, _ra=ra: integrate_base(_b, _ra, r),
                 sine_eg, k, l)
             for x in (0.3, 0.6, 0.8):
                 err = abs(nn_derivative(running, x) - fn.value(x))
@@ -181,9 +181,9 @@ def test_criterion_03_calculus_suite(sine_eg, rng):
         worst_cd = max(worst_cd, abs(lhs - rhs))
         assert worst_cd < 1e-6, (k, l, m, n)
         a, b = 0.2, 0.75
-        lhs = nn_integral(fn, a, b, tol=1e-10)
+        lhs = nn_integral(fn, a, b)
         sa, sb = sine_eg.iterate(a, -(k - n)), sine_eg.iterate(b, -(k - n))
-        rhs = sine_eg.iterate(nn_integral(other, sa, sb, tol=1e-10), l - m)
+        rhs = sine_eg.iterate(nn_integral(other, sa, sb), l - m)
         worst_ci = max(worst_ci, abs(lhs - rhs))
         assert worst_ci < 1e-6, (k, l, m, n)
     elapsed = time.monotonic() - start
@@ -359,13 +359,13 @@ def test_criterion_10_generalized_complex(rng):
     dom = identity_bijection()
     A = ComplexLevelFunction(lambda r: complex(math.cos(r), 0.3 * r), dom, pa_sine)
     B = ComplexLevelFunction(lambda r: complex(r * r - 0.2, math.sin(r)), dom, pa_sine)
-    ab = gc_scalar_product(A, B, 2.0, tol=1e-12)
-    ba = gc_scalar_product(B, A, 2.0, tol=1e-12)
+    ab = gc_scalar_product(A, B, 2.0)
+    ba = gc_scalar_product(B, A, 2.0)
     flipped = gc_conj(pa_sine, ab)
     assert flipped.x1 == pytest.approx(ba.x1, abs=1e-9)
     assert flipped.x2 == pytest.approx(ba.x2, abs=1e-9)
     lam = GComplex(0.4, -0.3)
-    lhs = gc_scalar_product(A, gc_scale(B, lam), 2.0, tol=1e-12)
+    lhs = gc_scalar_product(A, gc_scale(B, lam), 2.0)
     rhs = gc_mul(pa_sine, lam, ab)
     assert lhs.x1 == pytest.approx(rhs.x1, abs=1e-9)
     assert lhs.x2 == pytest.approx(rhs.x2, abs=1e-9)

@@ -204,7 +204,7 @@ def test_singlet_from_hidden_quadrature_route(sine_eg, rng):
 
         cuts = sorted(set(chi1.breakpoints()) | set(chi2.breakpoints()))
         fn = LevelFunction(base, gmap, 0, 1, tuple(cuts))
-        via_quad = nn_integral(fn, 0.0, TWO_PI, tol=1e-12)
+        via_quad = nn_integral(fn, 0.0, TWO_PI)
         assert via_quad == pytest.approx(singlet_from_hidden(a1, a2), abs=1e-10)
 
 
@@ -237,7 +237,7 @@ def test_level1_projection_postulate(sine_eg):
 
     cuts = sorted(set(chi1.breakpoints()) | set(chi2.breakpoints()))
     fn = LevelFunction(base, sine_eg, 0, 1, tuple(cuts))
-    got = nn_integral(fn, 0.0, TWO_PI, tol=1e-12)
+    got = nn_integral(fn, 0.0, TWO_PI)
     want = sine_eg.forward(dens.integral_against(chi2))
     assert got == pytest.approx(want, abs=1e-8)
 

@@ -27,7 +27,7 @@ def lf(sine_eg, base, k=0, l=0, breakpoints=()):
 
 def test_integrate_base_complex_integrand():
     # int_0^pi e^{ir} dr = (e^{i pi} - 1) / i = 2i
-    got = integrate_base(lambda r: cmath.exp(1j * r), 0.0, math.pi, tol=1e-12)
+    got = integrate_base(lambda r: cmath.exp(1j * r), 0.0, math.pi)
     assert isinstance(got, complex)
     assert got == pytest.approx(2j, abs=1e-11)
 
@@ -110,7 +110,7 @@ def test_integral_characteristic_product_with_lift(sine_eg):
 
     cuts = sorted(set(chi1.breakpoints()) | set(chi2.breakpoints()))
     fn = LevelFunction(base, GMap(sine_eg), 0, 1, tuple(cuts))
-    got = nn_integral(fn, 0.0, 2.0 * math.pi, tol=1e-12)
+    got = nn_integral(fn, 0.0, 2.0 * math.pi)
     # cross-check: half the generator image of twice the overlap
     overlap = 0.25
     assert got == pytest.approx(0.5 * sine_eg.forward(2.0 * overlap), abs=1e-12)
@@ -120,7 +120,7 @@ def test_integral_characteristic_product_with_lift(sine_eg):
 def test_quadrature_error_carries_estimate(sine_eg):
     wild = lf(sine_eg, lambda r: math.sin(1.0 / r))
     with pytest.raises(QuadratureError) as err:
-        nn_integral(wild, 1e-7, 1.0, tol=1e-13)
+        nn_integral(wild, 1e-7, 1.0)
     assert math.isfinite(err.value.estimate)
 
 
@@ -226,7 +226,7 @@ def test_fundamental_theorem_one(sine_eg, rng):
                 continue
             checked += 1
             deriv = lf(sine_eg, lambda r: nn_derivative(base00, r), k, l)
-            got = nn_integral(deriv, 0.15, 0.85, tol=1e-10)
+            got = nn_integral(deriv, 0.15, 0.85)
             want = arith(ArithmeticContext(sine_eg, l), "sub", vb, va)
             assert got == pytest.approx(want, abs=1e-6), (k, l)
     assert checked >= 8
@@ -243,7 +243,7 @@ def test_fundamental_theorem_two(sine_eg, rng):
             ra = sine_eg.iterate(a, -k)
 
             def running(r, _ra=ra, _base=base):
-                return integrate_base(_base, _ra, r, tol=1e-12)
+                return integrate_base(_base, _ra, r)
 
             running_fn = lf(sine_eg, running, k, l)
             for x in (0.3, 0.55, 0.8):
@@ -273,10 +273,10 @@ def test_cross_level_chain_rule_integral(sine_eg, rng):
         a, b = 0.2, 0.75
         fn = lf(sine_eg, base, k, l)
         other = lf(sine_eg, base, n, m)
-        lhs = nn_integral(fn, a, b, tol=1e-10)
+        lhs = nn_integral(fn, a, b)
         sa = sine_eg.iterate(a, -(k - n))
         sb = sine_eg.iterate(b, -(k - n))
-        rhs = sine_eg.iterate(nn_integral(other, sa, sb, tol=1e-10), l - m)
+        rhs = sine_eg.iterate(nn_integral(other, sa, sb), l - m)
         assert lhs == pytest.approx(rhs, abs=1e-6), (k, l, m, n)
 
 
@@ -289,15 +289,15 @@ def test_integral_level_linearity(sine_eg, rng):
         A = lf(sine_eg, lambda r: 1.2 + math.sin(r), k, l)
         B = lf(sine_eg, lambda r: 0.5 + r * r, k, l)
         a, b = 0.2, 0.8
-        int_a = nn_integral(A, a, b, tol=1e-11)
-        int_b = nn_integral(B, a, b, tol=1e-11)
+        int_a = nn_integral(A, a, b)
+        int_b = nn_integral(B, a, b)
         if not resolvable(int_a, int_b, margin=1e-5):
             continue
         checked += 1
-        lhs = nn_integral(A.plus(B), a, b, tol=1e-11)
+        lhs = nn_integral(A.plus(B), a, b)
         assert lhs == pytest.approx(arith(ctx, "add", int_a, int_b), abs=1e-7)
         c = float(rng.uniform(0.2, 0.8))
-        lhs = nn_integral(B.scaled_by(c), a, b, tol=1e-11)
+        lhs = nn_integral(B.scaled_by(c), a, b)
         assert lhs == pytest.approx(arith(ctx, "mul", c, int_b), abs=1e-7)
     assert checked >= 8
 
@@ -355,5 +355,5 @@ def test_pointwise_combinators_keep_their_bits(sine_eg, rng, op):
                 assert _outcome(got.value, x) == _outcome(want.value, x)
                 assert _outcome(nn_derivative, got, x) == _outcome(nn_derivative, want, x)
             for a, b in ((0.0, 1.0), (-0.5, 0.75), (0.1, 0.1), (-1.5, 1.25)):
-                assert (_outcome(nn_integral, got, a, b, 1e-9)
-                        == _outcome(nn_integral, want, a, b, 1e-9))
+                assert (_outcome(nn_integral, got, a, b)
+                        == _outcome(nn_integral, want, a, b))

@@ -350,6 +350,22 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", [["iterate", "--levels", "1"], ["alpha-theta"]],
+                         ids=["iterate", "alpha-theta"])
+def test_a_grid_too_large_to_allocate_exits_2(command, tmp_path, monkeypatch, capsys):
+    # the real allocation is left out: an overcommitting host would grant it
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def linspace(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.np, "linspace", linspace)
+    out = tmp_path / "out.csv"
+    assert run(command + ["--grid", "1000000000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"nncalc: out of memory: {message}\n"
+    assert not out.exists()
+
+
 def test_empty_level_list(tmp_path):
     code, data = run_to_file(tmp_path, ["iterate", "--levels=", "--grid", "3"])
     assert code == 0 and data == b"p\n0\n0.5\n1\n"
@@ -410,10 +426,13 @@ def test_byte_determinism(tmp_path):
         assert first == second, args
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_commands():
     """Every command of the README's CLI ``sh`` block, as an argv without the program name."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    blocks = re.findall(r"```sh\n(.*?)```", _readme(), flags=re.S)
     lines = [line for block in blocks for line in block.splitlines()
              if line.startswith("nncalc ")]
     return [shlex.split(line, comments=True)[1:] for line in lines]
@@ -433,6 +452,26 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch):
         except SystemExit as exc:
             code = exc.code
         assert code == 0, args
+
+
+def test_readme_python_quick_start_runs_and_its_comments_hold():
+    block = re.search(r"## Library quick start\s+```python\n(.*?)```", _readme(), flags=re.S)[1]
+    namespace = {}
+    exec(block, namespace)
+    stated = {code.strip(): comment.strip() for code, _, comment
+              in (line.partition("#") for line in block.splitlines()) if comment}
+
+    def value(expr, comment):
+        assert stated[expr] == comment, expr
+        return eval(expr, namespace)
+
+    product = value('arith(ctx, "mul", 0.5, 0.5)', "0.1464... = g(1/4)")
+    assert product.hex() == namespace["eg"].forward(0.25).hex()
+    assert f"{product:.17g}".startswith("0.1464")
+    table = value("singlet_table(math.pi / 2)", "2x2 table, all entries 1/4")
+    assert table.shape == (2, 2) and np.all(np.abs(table - 0.25) <= 1e-16)
+    alpha = float(value("alpha_of_theta(math.pi / 4)", "1.2309..."))
+    assert f"{alpha:.17g}".startswith("1.2309")
 
 
 def test_the_module_entry_point_exits_with_the_code_of_run():

@@ -15,6 +15,7 @@ non-finite.
 import cmath
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -36,7 +37,8 @@ from nncalc.generator import (
 
 HUGE = 10**400  # an int beyond the float range
 LONG = 10**5000  # an int beyond the int-to-str digit limit too
-FLOATS = (HUGE, -HUGE, LONG, math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, -1e308)
+FLOATS = (HUGE, -HUGE, LONG, math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, -1e308,
+          sys.float_info.max, -sys.float_info.max)
 COMPLEX_PARTS = tuple(v for v in FLOATS if isinstance(v, float))
 INTS = (HUGE, -HUGE, LONG, 0, -1, 2**63)
 HOSTILE = {"f": FLOATS, "c": COMPLEX_PARTS, "i": INTS}
@@ -95,10 +97,8 @@ ROWS = {
     "LevelFunction.value": (FN.value, (0.3,), "f"),
     "scaled_by": (FN.scaled_by, (0.3,), "f"),
     "nn_derivative": (lambda x: calculus.nn_derivative(FN, x), (0.3,), "f"),
-    "nn_integral": (lambda a, b, tol: calculus.nn_integral(FN, a, b, tol), (0.1, 0.4, 1e-10),
-                    "fff"),
-    "integrate_base": (lambda a, b, tol: calculus.integrate_base(math.sin, a, b, tol),
-                       (0.0, 1.0, 1e-10), "fff"),
+    "nn_integral": (lambda a, b: calculus.nn_integral(FN, a, b), (0.1, 0.4), "ff"),
+    "integrate_base": (lambda a, b: calculus.integrate_base(math.sin, a, b), (0.0, 1.0), "ff"),
     "nn_exp": (lambda x, l, k: calculus.nn_exp(EGEN, l, k, x), (0.3, 1, 1), "fii"),
     "nn_ln": (lambda x, k, l: calculus.nn_ln(EGEN, k, l, x), (0.3, 1, 1), "fii"),
     # probability
@@ -167,8 +167,7 @@ ROWS = {
                                                             EGEN), (0.3,), "f"),
     "ComplexLevelFunction.value": (CFN.value, (0.3,), "f"),
     "gc_scale": (lambda x: gcomplex.gc_scale(CFN, _gc(x)), (0.3,), "f"),
-    "gc_scalar_product": (lambda T, tol: gcomplex.gc_scalar_product(CFN, CFN, T, tol),
-                          (1.0, 1e-10), "ff"),
+    "gc_scalar_product": (lambda T: gcomplex.gc_scalar_product(CFN, CFN, T), (1.0,), "f"),
     # bell
     "reduced_angle": (bell.reduced_angle, (0.3,), "f"),
     "breakpoints": (lambda phi: bell.HalfCircleChar(phi).breakpoints(), (0.3,), "f"),

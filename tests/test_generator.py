@@ -631,11 +631,16 @@ def test_scalar_path_matches_long_array_kernels(rng):
 
 def test_sine_generator_scalar_path(sine_gen, rng):
     # the unit-cell sum n + g(x - n) hides the sign of a zero; the bare
-    # generator shows it
+    # generator shows it.  A finite p outside [0, 1] is a DomainError on both paths.
     for fn in (sine_gen.forward, sine_gen.inverse):
-        for x in EDGE_VALUES + list(rng.uniform(-3.0, 3.0, 500)):
+        for x in EDGE_VALUES + NON_FINITE + list(rng.uniform(-3.0, 3.0, 500)):
+            if math.isfinite(x) and not 0.0 <= x <= 1.0:
+                for arg in (x, np.array([x], dtype=float)):
+                    with pytest.raises(DomainError, match=r"takes p in \[0, 1\]"):
+                        fn(arg)
+                continue
             out = fn(x)
-            assert type(out) is float
+            assert type(out) is float or not math.isfinite(x)  # +-inf and NaN take the array path
             assert _bits(out) == _bits(fn(np.array([x], dtype=float))), x
 
 

@@ -280,6 +280,20 @@ def test_singlet_table_marginals_exact(rng):
         assert math.fsum(table.ravel()) == 1.0
 
 
+def test_singlet_table_against_mpmath(rng):
+    # the off-diagonal entry as 1 - sin^2(theta/2) cancelled near pi, 8.7e15 ulps off
+    mpmath = pytest.importorskip("mpmath")
+    thetas = ([0.0, 0.5 * math.pi, math.pi] + (math.pi - 10.0 ** np.linspace(-8, -1, 200)).tolist()
+              + rng.uniform(0.0, math.pi, 1000).tolist())
+    with mpmath.workdps(50):
+        for theta in thetas:
+            table = singlet_table(theta)
+            half = mpmath.mpf(theta) / 2
+            for got, want in ((table[0][0], mpmath.sin(half) ** 2 / 2),
+                              (table[0][1], mpmath.cos(half) ** 2 / 2)):
+                assert abs(mpmath.mpf(float(got)) - want) <= 4 * math.ulp(float(want)), theta
+
+
 def test_singlet_table_matches_joint_product(rng):
     for theta in rng.uniform(0.0, math.pi, size=25):
         theta = float(theta)
