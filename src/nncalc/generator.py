@@ -222,7 +222,7 @@ class _Folded:
     ``half`` is the branch as (float map, array map that may work in place): a
     finite scalar takes :func:`_fold_float`, all else :func:`_fold`, the array
     map and :func:`_unfold`, which pins 1/2.  A finite p outside [0, 1] is a
-    DomainError on both paths."""
+    DomainError on both paths; +-inf and NaN give NaN, and a 0-d result is a float."""
 
     def __init__(self, half_float: Callable, half_array: Callable):
         self.half = (half_float, half_array)
@@ -232,12 +232,16 @@ class _Folded:
             return _fold_float(self.half[0], float(_check_in(p, 0.0, 1.0, _MAP_DOMAIN)), 1)
         p = _in_float_range(np.asarray, p, float)
         t = _fold(p)
-        if (t < 0.0).any():  # exactly the lanes of p outside [0, 1]; +-inf among them gives NaN
+        outside = (t < 0.0).any()  # exactly the lanes of p outside [0, 1]
+        if outside:
             bad = p[(t < 0.0) & np.isfinite(p)]
             if bad.size:
                 raise DomainError(f"{_MAP_DOMAIN}, got {float(bad[0])!r}")
         with np.errstate(invalid="ignore"):  # sin(+-inf) is NaN: NaN propagates
-            return _unfold(p, self.half[1](t))
+            r = _unfold(p, self.half[1](t))
+        if outside:  # only +-inf is left there, which a clamping inverse would map into [0, 1]
+            r[np.isinf(p)] = np.nan
+        return float(r) if r.ndim == 0 else r
 
 
 #: the sine generator's maps, see make_sine_generator

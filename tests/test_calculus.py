@@ -124,6 +124,61 @@ def test_quadrature_error_carries_estimate(sine_eg):
     assert math.isfinite(err.value.estimate)
 
 
+def _counted(f):
+    calls = [0]
+
+    def counted(r):
+        calls[0] += 1
+        return f(r)
+    return counted, calls
+
+
+def test_quadrature_accuracy_and_evaluations_against_mpmath(rng):
+    # the integrands of the benchmark's quadrature calls; one 15-point panel
+    # per piece is the common case, so the counts hold the rule's cost
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(40):
+        for _ in range(200):
+            c0, c1, w = rng.uniform(-1, 1), rng.uniform(0.5, 2), rng.uniform(1, 6)
+            a, b = sorted(rng.uniform(0, 1, 2))
+            f, calls = _counted(lambda r: c0 + c1 * math.sin(w * r))
+            got = integrate_base(f, a, b)
+            want = (mp.mpf(c0) * (mp.mpf(b) - a)
+                    - c1 * (mp.cos(mp.mpf(w) * b) - mp.cos(mp.mpf(w) * a)) / w)
+            worst = max(worst, abs(got - want))
+            assert calls[0] <= 45, (c0, c1, w, a, b, calls)
+
+            m = a + (b - a) * rng.uniform(0.1, 0.9)
+            f, calls = _counted(lambda r: c0 + c1 * math.exp(-w * abs(r - m)))
+            got = integrate_base(f, a, b, breakpoints=(m,))
+            want = (mp.mpf(c0) * (mp.mpf(b) - a) + c1 * (2 - mp.exp(-w * (mp.mpf(m) - a))
+                                                           - mp.exp(-w * (mp.mpf(b) - m))) / w)
+            worst = max(worst, abs(got - want))
+            assert calls[0] <= 45, (c0, c1, w, a, b, m, calls)
+
+            c = complex(*rng.uniform(-1, 1, 2))
+            w = rng.uniform(0.5, 3.0)
+            nu = w + rng.choice([-1, 1]) * rng.uniform(0.1, 2.0)
+            h = rng.uniform(0, 0.5)
+            f, calls = _counted(lambda r: c * complex(math.cos(w * r), math.sin(w * r)))
+            got = integrate_base(
+                lambda r: f(r).conjugate() * complex(math.cos(nu * r), math.sin(nu * r)), -h, h)
+            d = mp.mpf(nu) - w
+            want = mp.conj(mp.mpc(c)) * 2 * mp.sin(d * h) / d
+            worst = max(worst, abs(got - want))
+            assert calls[0] <= 15, (c, w, nu, h, calls)
+    assert worst <= 1e-13
+
+
+def test_an_endpoint_singularity_raises_no_raw_exception(sine_eg):
+    # no node of the rule lies on a panel's edge, so log and 1/sqrt are
+    # never evaluated at 0: the integrable log converges, 1/sqrt does not
+    assert nn_integral(lf(sine_eg, math.log), 0.0, 1.0) == pytest.approx(-1.0, abs=1e-12)
+    with pytest.raises(QuadratureError):
+        nn_integral(lf(sine_eg, lambda r: 1.0 / math.sqrt(r)), 0.0, 1.0)
+
+
 def test_exp_ln_basics(sine_eg):
     assert nn_exp(sine_eg, 0, 0, 0.0) == 1.0
     assert nn_exp(sine_eg, 1, 1, 0.0) == 1.0

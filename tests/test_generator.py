@@ -644,6 +644,23 @@ def test_sine_generator_scalar_path(sine_gen, rng):
             assert _bits(out) == _bits(fn(np.array([x], dtype=float))), x
 
 
+@pytest.mark.parametrize("which", ["forward", "inverse"])
+@pytest.mark.parametrize("gen", [
+    make_sine_generator(),
+    convex_combine([make_sine_generator(), make_identity_generator()], [0.5, 0.5]),
+], ids=["sine", "convex"])
+def test_bare_maps_turn_inf_and_nan_into_a_float_nan(gen, which):
+    # the inverses clamp their half-map argument into [0, 1/2], and the convex
+    # one brackets it, so +-inf needs the NaN written over its lanes
+    fn = getattr(gen, which)
+    for x in NON_FINITE:
+        out = fn(x)
+        assert type(out) is float and math.isnan(out), x
+    out = fn(np.array([math.inf, -math.inf, math.nan, 0.3]))
+    assert np.isnan(out[:3]).all()
+    assert _bits(out[3]) == _bits(fn(0.3))
+
+
 # ------------------------------------------------- blocked array path
 
 B = _BLOCK
