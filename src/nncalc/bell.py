@@ -150,11 +150,13 @@ class AngleQuad(NamedTuple):
 
 
 def _conditionals(quad) -> list[float]:
-    """The level-1 conditionals t(a,b), t(a,b'), t(a',b), t(a',b') of a quad,
-    each cos^2(d/2) of its settings' reduced separation d."""
+    """The level-1 conditionals t(a,b), t(a,b'), t(a',b), t(a',b') of a quad, each cos^2(d/2)
+    of its settings' reduced separation d: reduced_angle's, bitwise, as numpy's % is Python's."""
     a, a_prime, b, b_prime = AngleQuad(*_in_float_range(tuple, map(float, quad)))
-    red = reduced_angle([a - b, a - b_prime, a_prime - b, a_prime - b_prime])
-    return [math.cos(0.5 * d) ** 2 for d in red.tolist()]
+    diffs = (a - b, a - b_prime, a_prime - b, a_prime - b_prime)
+    if not all(map(math.isfinite, diffs)):
+        reduced_angle(diffs)  # raises its DomainError
+    return [math.cos(0.5 * (math.pi - abs(math.pi - abs(d) % TWO_PI))) ** 2 for d in diffs]
 
 
 def ch_value_level1(quad: AngleQuad, egen: ExtendedGenerator = sine_extended()) -> float:

@@ -153,10 +153,9 @@ def lifted_form_value(form: RealQuadraticForm, a,
     flat = np.concatenate(parts, axis=None)  # x, y, then the three n x n blocks
     if not np.isfinite(flat).all():
         raise DomainError("lifted form: a component or coefficient is not finite")
-    pulled = egen.iterate(egen.forward(flat), -1)  # elementwise, so each part keeps its bits
-    x, y = pulled[:n], pulled[n:2 * n]
-    xx, yy, xy = pulled[2 * n:].reshape(3, n, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # _sum_push rejects a non-finite sum
-        terms = [x[:, None] * xx * x, y[:, None] * yy * y, x[:, None] * xy * y]
-    return _sum_push(ArithmeticContext(egen, 1), "lifted_form_value",
-                     np.concatenate(terms, axis=None).tolist())
+    pulled = egen.iterate(egen.forward(flat), -1).tolist()  # elementwise: each keeps its bits
+    x, y, coef = pulled[:n], pulled[n:2 * n], iter(pulled[2 * n:])  # coef: the blocks by rows
+    # float products overflow to inf without a warning; _sum_push rejects a non-finite sum
+    terms = [u[i] * next(coef) * v[j]
+             for u, v in ((x, x), (y, y), (x, y)) for i in range(n) for j in range(n)]
+    return _sum_push(ArithmeticContext(egen, 1), "lifted_form_value", terms)

@@ -36,6 +36,7 @@ LEVEL_CAP = 64
 _TWO_OVER_PI = 2.0 / math.pi
 _HALF_PI = 0.5 * math.pi
 _SCALAR_TYPES = (float, int, np.floating)
+_arcsin = np.arcsin  # looked up once: the float kernel calls it once a step
 #: elements per block of the array path: 128 KiB of float64, so a block and
 #: the few temporaries of one step stay in the per-core cache
 _BLOCK = 1 << 14
@@ -160,19 +161,14 @@ def _fold(p):
 def _unfold(p, r):
     """Mirror r = f(min(p, 1 - p)) back to f(p): r below 1/2, 1 - r above, 1/2 pinned.
 
-    As r (1 - 2c) + c with c = 1 above 1/2 and 0 elsewhere: r * 1 + 0 = r
-    (r is never -0.0) and r * -1 + 1 = 1 - r are exact, so this is bitwise
-    the two-branch form, without a data-dependent select (``np.where`` on a
-    mixed mask costs about half a sine).  One scratch array holds 1 - 2c and
-    then c, which keeps the heap a block smaller than two would.
+    As copysign(r, 1/2 - p) + c with c = 1 above 1/2 and 0 elsewhere: the
+    sign is exact and -r + 1 is 1 - r, so this is bitwise the two-branch
+    form, without a data-dependent select (``np.where`` on a mixed mask
+    costs about half a sine, a ufunc's ``where=`` more).  A -0.0 lane becomes
+    +0.0 below 1/2, as r + 0 would make it, so a half map may return -0.0.
     """
-    t = np.greater(p, 0.5, out=np.empty(p.shape))  # c: 1.0 above 1/2, else 0.0
-    t *= -2.0
-    t += 1.0  # 1 - 2c: -1.0 above 1/2, else 1.0
-    r *= t
-    t *= -0.5
-    t += 0.5  # c again, exactly
-    r += t
+    np.copysign(r, 0.5 - p, out=r)
+    r += p > 0.5
     r[p == 0.5] = 0.5
     return r
 
@@ -187,45 +183,55 @@ def _sin2_half(t):
 
 def _asin_sqrt_half(t):
     """t -> (2/pi) arcsin(sqrt(t)) in place, the sine generator's inverse on [0, 1/2]."""
-    np.maximum(t, 0.0, out=t)
     np.sqrt(t, out=t)
     np.arcsin(t, out=t)
     t *= _TWO_OVER_PI
     return t
 
 
-def _sin2_half_float(t: float) -> float:
-    """:func:`_sin2_half` on a float, bitwise."""
-    s = math.sin(t * _HALF_PI)
-    return s * s  # arrays square as x*x; a float's ** 2 calls pow()
-
-
-def _asin_sqrt_half_float(t: float) -> float:
-    """:func:`_asin_sqrt_half` on a float, bitwise."""
-    # t > 0.0 rather than max(): numpy's maximum maps -0.0 to +0.0
-    return _TWO_OVER_PI * float(np.arcsin(math.sqrt(t if t > 0.0 else 0.0)))
-
-
-def _fold_float(half: Callable, p: float, steps: int) -> float:
-    """:func:`_fold_iterate` on a float p, bitwise; a t on 1/2 stays pinned there."""
-    upper = p > 0.5
-    t = 1.0 - p if upper else p
+def _sin2_half_float(t: float, steps: int) -> float:
+    """``steps`` :func:`_sin2_half` steps on a float, bitwise; a t on 1/2 stays there."""
     while steps and t != 0.5:  # a for over range() costs a one-step call 0.1 us
+        s = math.sin(t * _HALF_PI)
+        t = s * s  # arrays square as x*x; a float's ** 2 calls pow()
+        steps -= 1
+    return t
+
+
+def _asin_sqrt_half_float(t: float, steps: int) -> float:
+    """``steps`` :func:`_asin_sqrt_half` steps on a float, bitwise; a t on 1/2 stays there."""
+    while steps and t != 0.5:
+        t = _TWO_OVER_PI * float(_arcsin(math.sqrt(t if t > 0.0 else 0.0)))  # -0.0 as +0.0
+        steps -= 1
+    return t
+
+
+def _float_steps(half: Callable, t, steps: int):
+    """The float kernel of a one-step map ``half``: ``steps`` calls of it, stopping on 1/2."""
+    while steps and t != 0.5:
         t = half(t)
         steps -= 1
+    return t
+
+
+def _fold_float(kernel: Callable, p: float, steps: int) -> float:
+    """:func:`_fold_iterate` on a float p, bitwise: fold, ``kernel(t, steps)`` once, unfold."""
+    upper = p > 0.5
+    t = kernel(1.0 - p if upper else p, steps)
     return float(1.0 - t if upper else t)
 
 
 class _Folded:
     """A generator map as its lower branch on [0, 1/2] and one fold, g(p) = 1 - g(1 - p).
 
-    ``half`` is the branch as (float map, array map that may work in place): a
-    finite scalar takes :func:`_fold_float`, all else :func:`_fold`, the array
-    map and :func:`_unfold`, which pins 1/2.  A finite p outside [0, 1] is a
+    ``half`` is the branch as (float kernel, array map that may work in place):
+    the kernel ``(t, steps)`` runs all its steps in one call.  A finite scalar
+    takes :func:`_fold_float`, all else :func:`_fold`, the array map and
+    :func:`_unfold`, which pins 1/2.  A finite p outside [0, 1] is a
     DomainError on both paths; +-inf and NaN give NaN, and a 0-d result is a float."""
 
-    def __init__(self, half_float: Callable, half_array: Callable):
-        self.half = (half_float, half_array)
+    def __init__(self, float_kernel: Callable, half_array: Callable):
+        self.half = (float_kernel, half_array)
 
     def __call__(self, p):
         if _is_finite_scalar(p):  # float(), as a float32 would compute in float32
@@ -239,7 +245,7 @@ class _Folded:
                 raise DomainError(f"{_MAP_DOMAIN}, got {float(bad[0])!r}")
         with np.errstate(invalid="ignore"):  # sin(+-inf) is NaN: NaN propagates
             r = _unfold(p, self.half[1](t))
-        if outside:  # only +-inf is left there, which a clamping inverse would map into [0, 1]
+        if outside:  # only +-inf is left there, which the convex bisection maps into [0, 1]
             r[np.isinf(p)] = np.nan
         return float(r) if r.ndim == 0 else r
 
@@ -260,9 +266,9 @@ def make_sine_generator() -> Generator:
     mirrored the same way.  Both maps are :class:`_Folded` over the half
     maps, the one form of sin^2 and arcsin sqrt, which the iterate loop of
     :class:`ExtendedGenerator` steps as well: one sine per element.  The
-    float half maps agree with the array ones bitwise: ``math.sin`` and
-    ``math.sqrt`` match numpy (the equivalence tests check this),
-    ``math.asin`` does not, so arcsin stays on numpy's ufunc.
+    float kernels run k half-map steps in one call, bitwise as the array
+    maps: ``math.sin`` and ``math.sqrt`` match numpy (the equivalence tests
+    check this), ``math.asin`` does not, so arcsin stays on numpy's ufunc.
     """
     return Generator("sine", _sine_forward, _sine_inverse)
 
@@ -318,8 +324,8 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
 
     lower_inverse = partial(_bisect_increasing, lower)
     names = ",".join(g.name for g in gen_tuple)
-    return Generator(f"convex({names})", _Folded(lower, lower),
-                     _Folded(lower_inverse, lower_inverse))
+    return Generator(f"convex({names})", _Folded(partial(_float_steps, lower), lower),
+                     _Folded(partial(_float_steps, lower_inverse), lower_inverse))
 
 
 def validate_generator(gen: Generator) -> None:
@@ -478,9 +484,10 @@ class ExtendedGenerator:
     and adds n back once, so a result is rounded into its cell once, not
     once per step.  The steps fold f once into t = min(f, 1 - f), run |k|
     times on t <= 1/2 and unfold once, as g^k(f) = 1 - g^k(1 - f): a scalar
-    in :func:`_fold_float`, an array block in :func:`_fold_iterate`, which
-    sorts a sine block once at k >= 6.  A folded map (sine, convex) steps
-    with its lower branch, any other map with itself.
+    in :func:`_fold_float`, whose float kernel runs the |k| steps in one
+    call, an array block in :func:`_fold_iterate`, which sorts a sine block
+    once at k >= 6.  A folded map (sine, convex) steps with its lower
+    branch, any other map with itself (its float kernel :func:`_float_steps`).
 
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
@@ -507,10 +514,10 @@ class ExtendedGenerator:
 
     def __init__(self, base: Generator):
         self.base = base
-        # (float map, array map) on t <= 1/2: a folded map's lower branch, else the map
+        # (float kernel, array map) on t <= 1/2: a folded map's lower branch, else the map
         fwd, inv = base.forward, base.inverse
-        self._up = fwd.half if isinstance(fwd, _Folded) else (fwd, fwd)
-        self._down = inv.half if isinstance(inv, _Folded) else (inv, inv)
+        self._up = fwd.half if isinstance(fwd, _Folded) else (partial(_float_steps, fwd), fwd)
+        self._down = inv.half if isinstance(inv, _Folded) else (partial(_float_steps, inv), inv)
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"ExtendedGenerator({self.base.name!r})"
@@ -536,7 +543,7 @@ class ExtendedGenerator:
         if steps > LEVEL_CAP:
             raise LevelRangeError(f"|k| = {_shown(steps)} exceeds the iteration cap {LEVEL_CAP}")
         half = self._up if k > 0 else self._down
-        if _is_finite_scalar(x):
+        if math.isfinite(x) if type(x) is float else _is_finite_scalar(x):
             x = float(x)
             if not steps:
                 return x + 0.0  # -0.0 -> 0.0, as arrays do

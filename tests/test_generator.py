@@ -1124,6 +1124,46 @@ def test_sine_is_the_identity_below_the_prefix_bound():
     assert _same_bits(generator._sin2_half(t.copy()), x * x)
 
 
+def _steps_from(x: float, m: int, direction: float) -> float:
+    for _ in range(m):
+        x = math.nextafter(x, direction)
+    return x
+
+
+def test_inverse_iterates_pin_a_lane_that_lands_on_one_half_mid_loop():
+    # 1, 2 and 3 ulps below 1/2 one inverse step lands exactly on 1/2, where
+    # the float kernel and the array loop must stop: one more step would
+    # leave 1/2 by an ulp
+    below = [_steps_from(0.5, m, 0.0) for m in (1, 2, 3)]
+    assert [generator._asin_sqrt_half_float(t, 1) for t in below] == [0.5] * 3
+    assert generator._asin_sqrt_half(np.array([0.5]))[0] > 0.5
+    fractions = below + [1.0 - t for t in below]
+    egen = sine_extended()
+    for n in (0, -2, 3):
+        xs = [n + f for f in fractions]
+        # the same offsets as ulps of the cell itself pin after a few steps
+        deep = [_steps_from(n + 0.5, m, d) for m in (1, 2, 3) for d in (-math.inf, math.inf)]
+        for k, lanes in ((-2, xs), (-5, xs + deep), (-LEVEL_CAP, xs + deep)):
+            out = egen.iterate(np.array(lanes), k)
+            assert _same_bits(out, np.full(len(lanes), n + 0.5)), (n, k, lanes)
+            assert _same_bits(np.array([egen.iterate(x, k) for x in lanes]), out), (n, k)
+
+
+def test_unfold_is_the_two_branch_form_bitwise():
+    # copysign(r, 1/2 - p) + (p > 1/2) against the select it replaces, with
+    # 1/2 pinned and a -0.0 lane at +0.0, for r from both half maps
+    rng = np.random.default_rng(27)
+    p = np.concatenate([[0.0, -0.0, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+                         1.0, math.nan, -math.nan], rng.random(10_000)])
+    for half in (generator._sin2_half, generator._asin_sqrt_half):
+        r = half(generator._fold(p))
+        ref = np.where(p > 0.5, 1.0 - r, r + 0.0)
+        ref[p == 0.5] = 0.5
+        assert _same_bits(generator._unfold(p, r.copy()), ref), half
+    out = make_sine_generator().inverse(np.array([-0.0, 0.0]))
+    assert _same_bits(out, np.zeros(2))
+
+
 # ------------------------------------------------- accuracy against mpmath
 
 ORACLE_DRAWS = 300
