@@ -8,7 +8,9 @@ The ordering relation is shared by all levels because g is strictly
 increasing.  Every operation here, and every composite built on them,
 pulls each operand back once, computes in ordinary arithmetic and pushes
 the result once; a non-finite operand or base-level result raises
-DomainError.
+DomainError.  At level 0 the pull and the push of a float never call the
+generator: g^0 is the identity, and they return x + 0.0, bitwise what
+``iterate(x, 0)`` returns.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ def _pull_finite(egen: ExtendedGenerator, level: int, what: str, x: float) -> fl
                           f"{x.bit_length()} bits lies beyond the float range") from exc
     if not finite:  # the pull would turn inf into NaN, or keep it at level 0
         raise DomainError(f"{what} at level {_shown(level)}: operand {x!r} is not finite")
+    if not level and type(level) is int and type(x) is float:  # a level 0.0 is iterate's error
+        return x + 0.0
     return egen.iterate(x, -level)
 
 
@@ -65,6 +69,8 @@ def _check_base(base: float | complex, what: str, level: int | None = None) -> N
 def _push_finite(egen: ExtendedGenerator, level: int, what: str, base: float) -> float:
     """g^level(base) of a base-level result that passes _check_base."""
     _check_base(base, what, level)
+    if not level and type(level) is int and type(base) is float:
+        return base + 0.0
     return egen.iterate(base, level)
 
 
@@ -142,13 +148,16 @@ def compare(x: float, y: float) -> str:
     """Ordering of two reals: 'less', 'equal' or 'greater'.
 
     Valid verbatim at every level of the hierarchy, since a strictly
-    increasing bijection preserves order.
+    increasing bijection preserves order.  A NaN, which no value is less
+    than, greater than or equal to, is a DomainError.
     """
     if x < y:
         return "less"
     if x > y:
         return "greater"
-    return "equal"
+    if x == y:
+        return "equal"
+    raise DomainError(f"compare: {_shown(x)} and {_shown(y)} are unordered")
 
 
 def level_sum(ctx: ArithmeticContext, values: Iterable[float]) -> float:

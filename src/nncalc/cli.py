@@ -28,6 +28,8 @@ from .errors import ConfigError, NncalcError, QuadratureError
 from .generator import ExtendedGenerator, load_generator
 
 _FLOAT_FMT = "%.17g"
+#: most points a --grid may have: a column of 10**7 floats takes 80 MB
+_MAX_GRID = 10**7
 
 
 def _parse_angle(text: str) -> float:
@@ -94,9 +96,16 @@ def _egen(args) -> ExtendedGenerator:
     return ExtendedGenerator(load_generator(args.generator))
 
 
-def _cmd_iterate(args):
-    if args.grid < 2:
+def _check_grid(points: int) -> None:
+    """NncalcError unless 2 <= points <= _MAX_GRID, tested before any array is made."""
+    if points < 2:
         raise NncalcError("grid must have at least 2 points")
+    if points > _MAX_GRID:
+        raise NncalcError(f"grid must have at most {_MAX_GRID} points, got {points}")
+
+
+def _cmd_iterate(args):
+    _check_grid(args.grid)
     egen = _egen(args)
     ps = np.linspace(0.0, 1.0, args.grid)
     return _csv(["p"] + [f"g{k}" for k in args.levels],
@@ -104,8 +113,7 @@ def _cmd_iterate(args):
 
 
 def _cmd_alpha_theta(args):
-    if args.grid < 2:
-        raise NncalcError("grid must have at least 2 points")
+    _check_grid(args.grid)
     thetas = np.linspace(0.0, math.pi, args.grid)
     return _csv(["theta", "alpha"], [thetas, probability.alpha_of_theta(thetas)])
 

@@ -206,36 +206,34 @@ def _asin_sqrt_half_float(t: float, steps: int) -> float:
     return t
 
 
-def _float_steps(half: Callable, t, steps: int):
-    """The float kernel of a one-step map ``half``: ``steps`` calls of it, stopping on 1/2."""
+def _float_steps(half: Callable, t, steps: int) -> float:
+    """The float kernel of a one-step map ``half``: ``steps`` calls of it, stopping on 1/2,
+    as a builtin float (the identity, a plain callable and the bisection give numpy values)."""
     while steps and t != 0.5:
         t = half(t)
         steps -= 1
-    return t
-
-
-def _fold_float(kernel: Callable, p: float, steps: int) -> float:
-    """:func:`_fold_iterate` on a float p, bitwise: fold, ``kernel(t, steps)`` once, unfold."""
-    upper = p > 0.5
-    t = kernel(1.0 - p if upper else p, steps)
-    return float(1.0 - t if upper else t)
+    return float(t)
 
 
 class _Folded:
     """A generator map as its lower branch on [0, 1/2] and one fold, g(p) = 1 - g(1 - p).
 
     ``half`` is the branch as (float kernel, array map that may work in place):
-    the kernel ``(t, steps)`` runs all its steps in one call.  A finite scalar
-    takes :func:`_fold_float`, all else :func:`_fold`, the array map and
-    :func:`_unfold`, which pins 1/2.  A finite p outside [0, 1] is a
-    DomainError on both paths; +-inf and NaN give NaN, and a 0-d result is a float."""
+    the kernel ``(t, steps)`` runs all its steps in one call and returns a
+    builtin float.  A finite scalar is folded and unfolded inline, all else
+    takes :func:`_fold`, the array map and :func:`_unfold`, which pins 1/2.
+    A finite p outside [0, 1] is a DomainError on both paths; +-inf and NaN
+    give NaN, and a 0-d result is a float."""
 
     def __init__(self, float_kernel: Callable, half_array: Callable):
         self.half = (float_kernel, half_array)
 
     def __call__(self, p):
         if _is_finite_scalar(p):  # float(), as a float32 would compute in float32
-            return _fold_float(self.half[0], float(_check_in(p, 0.0, 1.0, _MAP_DOMAIN)), 1)
+            p = float(_check_in(p, 0.0, 1.0, _MAP_DOMAIN))
+            upper = p > 0.5
+            t = self.half[0](1.0 - p if upper else p, 1)
+            return 1.0 - t if upper else t
         p = _in_float_range(np.asarray, p, float)
         t = _fold(p)
         outside = (t < 0.0).any()  # exactly the lanes of p outside [0, 1]
@@ -482,12 +480,14 @@ class ExtendedGenerator:
     ``iterate`` composes g_R or its inverse in one loop.  It splits off
     n = floor(x) and f = x - n once, runs the |k| steps of g or g^-1 on f
     and adds n back once, so a result is rounded into its cell once, not
-    once per step.  The steps fold f once into t = min(f, 1 - f), run |k|
-    times on t <= 1/2 and unfold once, as g^k(f) = 1 - g^k(1 - f): a scalar
-    in :func:`_fold_float`, whose float kernel runs the |k| steps in one
-    call, an array block in :func:`_fold_iterate`, which sorts a sine block
-    once at k >= 6.  A folded map (sine, convex) steps with its lower
-    branch, any other map with itself (its float kernel :func:`_float_steps`).
+    once per step.  A scalar in [0, 1), like an array block inside it, has
+    n = 0 and f = x and skips the floor and the subtract.  The steps fold f
+    once into t = min(f, 1 - f), run |k| times on t <= 1/2 and unfold once,
+    as g^k(f) = 1 - g^k(1 - f): a scalar inline, around one call of a float
+    kernel that runs the |k| steps, an array block in :func:`_fold_iterate`,
+    which sorts a sine block once at k >= 6.  A folded map (sine, convex)
+    steps with its lower branch, any other map with itself (its float
+    kernel :func:`_float_steps`).
 
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
@@ -524,14 +524,24 @@ class ExtendedGenerator:
 
     def forward(self, x):
         if _is_finite_scalar(x):
-            n = float(math.floor(x))
-            return n + _fold_float(self._up[0], float(x) - n, 1)
+            f, n = float(x), 0.0
+            if not 0.0 <= f < 1.0:  # inside [0, 1) n is 0: no floor and no subtract
+                n = float(math.floor(f))
+                f -= n
+            upper = f > 0.5
+            t = self._up[0](1.0 - f if upper else f, 1)
+            return n + (1.0 - t if upper else t)  # 0.0 + r maps a -0.0 to +0.0, as arrays do
         return self.iterate(x, 1)
 
     def inverse(self, y):
         if _is_finite_scalar(y):
-            n = float(math.floor(y))
-            return n + _fold_float(self._down[0], float(y) - n, 1)
+            f, n = float(y), 0.0
+            if not 0.0 <= f < 1.0:
+                n = float(math.floor(f))
+                f -= n
+            upper = f > 0.5
+            t = self._down[0](1.0 - f if upper else f, 1)
+            return n + (1.0 - t if upper else t)
         return self.iterate(y, -1)
 
     def iterate(self, x, k: int):
@@ -544,11 +554,15 @@ class ExtendedGenerator:
             raise LevelRangeError(f"|k| = {_shown(steps)} exceeds the iteration cap {LEVEL_CAP}")
         half = self._up if k > 0 else self._down
         if math.isfinite(x) if type(x) is float else _is_finite_scalar(x):
-            x = float(x)
+            f, n = float(x), 0.0
             if not steps:
-                return x + 0.0  # -0.0 -> 0.0, as arrays do
-            n = float(math.floor(x))
-            return n + _fold_float(half[0], x - n, steps)
+                return f + 0.0  # -0.0 -> 0.0, as arrays do
+            if not 0.0 <= f < 1.0:
+                n = float(math.floor(f))
+                f -= n
+            upper = f > 0.5
+            t = half[0](1.0 - f if upper else f, steps)
+            return n + (1.0 - t if upper else t)
         arr = _in_float_range(np.asarray, x, float)
         if not steps:
             out = arr + 0.0  # a copy, never the caller's array

@@ -149,6 +149,10 @@ def test_compare(sine_eg):
     assert compare(g(0.2), g(0.7)) == "less"
     for k in (-6, -1, 3):
         assert compare(0.5, sine_eg.iterate(0.5, k)) == "equal"
+    # a NaN is unordered: it compared "equal" to every value
+    for x, y in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (-math.inf, math.nan)):
+        with pytest.raises(DomainError, match="unordered"):
+            compare(x, y)
 
 
 def test_order_preserved_by_iterates(sine_eg, rng):

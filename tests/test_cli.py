@@ -353,17 +353,32 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["iterate", "--levels", "1"], ["alpha-theta"]],
                          ids=["iterate", "alpha-theta"])
 def test_a_grid_too_large_to_allocate_exits_2(command, tmp_path, monkeypatch, capsys):
-    # the real allocation is left out: an overcommitting host would grant it
-    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+    # the real allocation is left out: a host with the memory would grant it
+    message = "Unable to allocate 76.3 MiB for an array with shape (10000000,)"
 
     def linspace(*args, **kwargs):
         raise MemoryError(message)
 
     monkeypatch.setattr(cli.np, "linspace", linspace)
     out = tmp_path / "out.csv"
-    assert run(command + ["--grid", "1000000000000", "--out", str(out)]) == 2
+    assert run(command + ["--grid", str(cli._MAX_GRID), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"nncalc: out of memory: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["iterate", "--levels", "1"], ["alpha-theta"]],
+                         ids=["iterate", "alpha-theta"])
+@pytest.mark.parametrize("grid", [cli._MAX_GRID + 1, 10**12])
+def test_a_grid_above_the_bound_exits_2_before_any_allocation(command, grid, tmp_path,
+                                                             monkeypatch, capsys):
+    # an overcommitting host would grant 10**12 points and run until it is killed
+    calls = []
+    monkeypatch.setattr(cli.np, "linspace", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "out.csv"
+    assert run(command + ["--grid", str(grid), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"nncalc: grid must have at most {cli._MAX_GRID} points, got {grid}\n")
+    assert calls == [] and not out.exists()
 
 
 def test_empty_level_list(tmp_path):

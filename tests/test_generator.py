@@ -14,8 +14,10 @@ import nncalc
 import test_contract as contract
 from conftest import resolvable, run_python
 from nncalc import generator
+from nncalc.arithmetic import ArithmeticContext, arith, level_sum
 from nncalc.errors import ConfigError, DomainError, LevelRangeError
 from nncalc.fubini import ladder as fubini_ladder
+from nncalc.probability import CondNode, CondTree, tree_normalization
 from nncalc.generator import (
     _BLOCK,
     LEVEL_CAP,
@@ -549,6 +551,8 @@ EDGE_VALUES = [0.0, -0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0
                math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), -1.0, 2.0, -3.0, 3, -2,
                5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
                np.float64(0.25), np.float32(0.75)]
+# either side of an integer n: the cell [n, n + 1) or the one below, near its ends
+EDGE_VALUES += [math.nextafter(float(n), side) for n in (-2, -1, 2, 3) for side in (-9.0, 9.0)]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
@@ -572,6 +576,29 @@ def _assert_scalar_matches_array(egen, levels, x):
     for scalar, array in pairs:
         assert type(scalar) is float, (egen, x)
         assert _bits(scalar) == _bits(array), (egen, x, scalar, array)
+    _assert_level_zero_is_iterate_zero(egen, x)
+
+
+def _assert_level_zero_is_iterate_zero(egen, x):
+    """Level-0 pulls and pushes, which call no generator, keep the bits of iterate(x, 0)."""
+    ctx = ArithmeticContext(egen, 0)
+    if not math.isfinite(x):
+        for what, call in (("add", lambda: arith(ctx, "add", x, 0.5)),
+                           ("level_sum", lambda: level_sum(ctx, [0.5, x]))):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"{what} at level 0: operand {x!r} is not finite")):
+                call()
+        return
+    outs = [arith(ctx, "add", x, 0.0), arith(ctx, "mul", 1.0, x), level_sum(ctx, [x])]
+    for out in outs:
+        assert type(out) is float and _bits(out) == _bits(egen.iterate(x, 0)), (egen, x, out)
+    if 0.0 <= x <= 1.0:  # one level-0 node: its joints x and 1 - x, summed at level 0
+        out = tree_normalization(CondTree(CondNode(0, x, 1.0 - x), sum_level=0), egen)
+        base = math.fsum([egen.iterate(x, 0), egen.iterate(1.0 - x, 0)])
+        assert type(out) is float and _bits(out) == _bits(egen.iterate(base, 0)), (egen, x)
+    # a level that is not an int still fails, in the pull, which asks for g^-0.0
+    with pytest.raises(LevelRangeError, match=r"^level -0\.0 is not an integer$"):
+        arith(ArithmeticContext(egen, 0.0), "add", x, 0.0)
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0))

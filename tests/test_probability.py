@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -385,5 +386,11 @@ def test_tree_normalization_shifts_and_pulls_each_conditional_once(sine_gen, rng
     # 2 (2^d - 1) conditionals, each shifted and pulled; 2^d leaf pushes and the
     # level_sum's 2^d pulls; one last push
     egen = CountingGenerator(sine_gen)
-    tree_normalization(_random_tree(rng, depth), egen)
+    tree = _random_tree(rng, depth)
+    assert tree.sum_level != 0
+    tree_normalization(tree, egen)
     assert len(egen.calls) == 4 * (2**depth - 1) + 2 * 2**depth + 1
+    # at sum level 0 no pull or push calls the generator: the shifts are left
+    egen.calls.clear()
+    tree_normalization(dataclasses.replace(tree, sum_level=0), egen)
+    assert len(egen.calls) == 2 * (2**depth - 1)
