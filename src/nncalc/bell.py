@@ -16,7 +16,6 @@ with ordinary arithmetic (where it reaches 1 + sqrt 2).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,7 +104,8 @@ class GMap:
 
     Provides the same forward/inverse/iterate surface as an extended
     generator, so it can drive level functions directly.  G fixes 0, 1/4
-    and 1/2.  A finite float whose double overflows is a DomainError.
+    and 1/2.  A finite value or array element whose double overflows is a
+    DomainError.
     """
 
     egen: ExtendedGenerator
@@ -122,10 +122,20 @@ class GMap:
 
 
 def _doubled(x):
-    """2x for GMap; DomainError for a finite float whose double, +-inf, would map to NaN."""
-    y = _in_float_range(operator.mul, x, 2.0)
-    if isinstance(y, float) and math.isinf(y) and math.isfinite(x):
-        raise DomainError(f"GMap doubles its argument past the float range, got {_shown(x)}")
+    """2x for GMap, a float or a float array; DomainError for a finite value or element whose
+    double, +-inf, would map to NaN (a +-inf element gives NaN, as in ExtendedGenerator)."""
+    if isinstance(x, (float, int)):
+        f = _in_float_range(float, x)
+        y = 2.0 * f
+        if math.isinf(y) and math.isfinite(f):
+            raise DomainError(f"GMap doubles its argument past the float range, got {_shown(x)}")
+        return y
+    x = _in_float_range(np.asarray, x, float)
+    with np.errstate(over="ignore"):
+        y = x * 2.0
+    bad = x[np.isinf(y) & np.isfinite(x)]
+    if bad.size:
+        raise DomainError(f"GMap doubles its argument past the float range, got {float(bad[0])!r}")
     return y
 
 

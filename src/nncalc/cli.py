@@ -25,11 +25,13 @@ import numpy as np
 from . import bell, entropy, fubini, lln, probability
 from .arithmetic import ArithmeticContext, arith
 from .errors import ConfigError, NncalcError, QuadratureError
-from .generator import ExtendedGenerator, load_generator
+from .generator import ExtendedGenerator, _shown, load_generator
 
 _FLOAT_FMT = "%.17g"
 #: most points a --grid may have: a column of 10**7 floats takes 80 MB
 _MAX_GRID = 10**7
+#: most rows an lln table may have: a row takes about 128 bytes and 5 us to build
+_MAX_ROWS = 10**6
 
 
 def _parse_angle(text: str) -> float:
@@ -126,6 +128,9 @@ def _cmd_bell_scan(args) -> str:
 def _cmd_lln(args):
     if args.n_min > args.n_max:
         raise NncalcError("--n-min must not exceed --n-max")
+    count = len(args.levels) * (args.n_max - args.n_min + 1)
+    if count > _MAX_ROWS:  # tested before any row is built
+        raise NncalcError(f"an lln table must have at most {_MAX_ROWS} rows, got {_shown(count)}")
     rows = lln.fig3_table(args.levels, range(args.n_min, args.n_max + 1), args.eps,
                           egen=_egen(args))
     levels, ns, bounds = zip(*rows) if rows else ((), (), ())

@@ -138,10 +138,13 @@ class Generator:
     threads at once, each on its own disjoint block, so a map with
     unsynchronised state, such as a call counter, breaks this contract.
     Every g_R^k folds once, g^k(f) = 1 - g^k(1 - f), and steps a map on
-    t <= 1/2 only.  The sine and convex maps are a lower branch and one
-    fold (``_Folded``): they keep the complement symmetry bitwise and map a
-    finite scalar to a builtin ``float`` bitwise equal to its element of the
-    array result.  Values are immutable and safe to share across threads.
+    t <= 1/2 only: an array block by block, a finite scalar in
+    :func:`_cell_float`, the one float kernel, which calls the map on a
+    float and makes its result a builtin float.  The sine and convex maps
+    are a lower branch and one fold (``_Folded``): they keep the complement
+    symmetry bitwise and map a finite scalar to a builtin ``float`` bitwise
+    equal to its element of the array result.  Values are immutable and
+    safe to share across threads.
     """
 
     name: str
@@ -189,51 +192,50 @@ def _asin_sqrt_half(t):
     return t
 
 
-def _sin2_half_float(t: float, steps: int) -> float:
-    """``steps`` :func:`_sin2_half` steps on a float, bitwise; a t on 1/2 stays there."""
-    while steps and t != 0.5:  # a for over range() costs a one-step call 0.1 us
-        s = math.sin(t * _HALF_PI)
-        t = s * s  # arrays square as x*x; a float's ** 2 calls pow()
-        steps -= 1
-    return t
-
-
-def _asin_sqrt_half_float(t: float, steps: int) -> float:
-    """``steps`` :func:`_asin_sqrt_half` steps on a float, bitwise; a t on 1/2 stays there."""
-    while steps and t != 0.5:
-        t = _TWO_OVER_PI * float(_arcsin(math.sqrt(t if t > 0.0 else 0.0)))  # -0.0 as +0.0
-        steps -= 1
-    return t
-
-
-def _float_steps(half: Callable, t, steps: int) -> float:
-    """The float kernel of a one-step map ``half``: ``steps`` calls of it, stopping on 1/2,
-    as a builtin float (the identity, a plain callable and the bisection give numpy values)."""
-    while steps and t != 0.5:
-        t = half(t)
-        steps -= 1
-    return float(t)
+def _cell_float(half: Callable, x: float, steps: int) -> float:
+    """``steps`` >= 1 steps of g_R on a finite float x as a builtin float, the one float
+    kernel of every scalar g^k: the cell rule of :class:`ExtendedGenerator`, with ``half``
+    its array map on t <= 1/2.  The steps are picked by identity, as in :func:`_fold_iterate`:
+    the sine's half maps run inline, bitwise as their array forms (``math.asin`` is not
+    numpy's arcsin, so that stays a ufunc); any other map is called once a step."""
+    n = 0.0
+    if not 0.0 <= x < 1.0:  # inside [0, 1) n is 0: no floor and no subtract
+        n = float(math.floor(x))
+        x -= n
+    upper = x > 0.5
+    t = 1.0 - x if upper else x
+    if half is _sin2_half:
+        while steps and t != 0.5:  # a for over range() costs a one-step call 0.1 us
+            s = math.sin(t * _HALF_PI)
+            t = s * s  # arrays square as x*x; a float's ** 2 calls pow()
+            steps -= 1
+    elif half is _asin_sqrt_half:
+        while steps and t != 0.5:
+            t = _TWO_OVER_PI * float(_arcsin(math.sqrt(t if t > 0.0 else 0.0)))  # -0.0 as +0.0
+            steps -= 1
+    else:
+        while steps and t != 0.5:
+            t = half(t)
+            steps -= 1
+        t = float(t)
+    return n + (1.0 - t if upper else t)  # 0.0 + r maps a -0.0 to +0.0, as arrays do
 
 
 class _Folded:
     """A generator map as its lower branch on [0, 1/2] and one fold, g(p) = 1 - g(1 - p).
 
-    ``half`` is the branch as (float kernel, array map that may work in place):
-    the kernel ``(t, steps)`` runs all its steps in one call and returns a
-    builtin float.  A finite scalar is folded and unfolded inline, all else
-    takes :func:`_fold`, the array map and :func:`_unfold`, which pins 1/2.
+    ``half`` is the branch as an array map that may work in place.  A finite
+    scalar takes one step of :func:`_cell_float` (p = 1 splits off n = 1),
+    all else :func:`_fold`, the array map and :func:`_unfold`, which pins 1/2.
     A finite p outside [0, 1] is a DomainError on both paths; +-inf and NaN
     give NaN, and a 0-d result is a float."""
 
-    def __init__(self, float_kernel: Callable, half_array: Callable):
-        self.half = (float_kernel, half_array)
+    def __init__(self, half: Callable):
+        self.half = half
 
     def __call__(self, p):
         if _is_finite_scalar(p):  # float(), as a float32 would compute in float32
-            p = float(_check_in(p, 0.0, 1.0, _MAP_DOMAIN))
-            upper = p > 0.5
-            t = self.half[0](1.0 - p if upper else p, 1)
-            return 1.0 - t if upper else t
+            return _cell_float(self.half, float(_check_in(p, 0.0, 1.0, _MAP_DOMAIN)), 1)
         p = _in_float_range(np.asarray, p, float)
         t = _fold(p)
         outside = (t < 0.0).any()  # exactly the lanes of p outside [0, 1]
@@ -242,15 +244,15 @@ class _Folded:
             if bad.size:
                 raise DomainError(f"{_MAP_DOMAIN}, got {float(bad[0])!r}")
         with np.errstate(invalid="ignore"):  # sin(+-inf) is NaN: NaN propagates
-            r = _unfold(p, self.half[1](t))
+            r = _unfold(p, self.half(t))
         if outside:  # only +-inf is left there, which the convex bisection maps into [0, 1]
             r[np.isinf(p)] = np.nan
         return float(r) if r.ndim == 0 else r
 
 
 #: the sine generator's maps, see make_sine_generator
-_sine_forward = _Folded(_sin2_half_float, _sin2_half)
-_sine_inverse = _Folded(_asin_sqrt_half_float, _asin_sqrt_half)
+_sine_forward = _Folded(_sin2_half)
+_sine_inverse = _Folded(_asin_sqrt_half)
 
 
 def make_sine_generator() -> Generator:
@@ -263,10 +265,9 @@ def make_sine_generator() -> Generator:
     catastrophically.  The inverse (2/pi) arcsin(sqrt(P)) is closed form,
     mirrored the same way.  Both maps are :class:`_Folded` over the half
     maps, the one form of sin^2 and arcsin sqrt, which the iterate loop of
-    :class:`ExtendedGenerator` steps as well: one sine per element.  The
-    float kernels run k half-map steps in one call, bitwise as the array
-    maps: ``math.sin`` and ``math.sqrt`` match numpy (the equivalence tests
-    check this), ``math.asin`` does not, so arcsin stays on numpy's ufunc.
+    :class:`ExtendedGenerator` steps as well: one sine per element.  On a
+    float, :func:`_cell_float` runs them inline, bitwise as the array maps
+    (the equivalence tests check this).
     """
     return Generator("sine", _sine_forward, _sine_inverse)
 
@@ -322,8 +323,7 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
 
     lower_inverse = partial(_bisect_increasing, lower)
     names = ",".join(g.name for g in gen_tuple)
-    return Generator(f"convex({names})", _Folded(partial(_float_steps, lower), lower),
-                     _Folded(partial(_float_steps, lower_inverse), lower_inverse))
+    return Generator(f"convex({names})", _Folded(lower), _Folded(lower_inverse))
 
 
 def validate_generator(gen: Generator) -> None:
@@ -483,11 +483,10 @@ class ExtendedGenerator:
     once per step.  A scalar in [0, 1), like an array block inside it, has
     n = 0 and f = x and skips the floor and the subtract.  The steps fold f
     once into t = min(f, 1 - f), run |k| times on t <= 1/2 and unfold once,
-    as g^k(f) = 1 - g^k(1 - f): a scalar inline, around one call of a float
-    kernel that runs the |k| steps, an array block in :func:`_fold_iterate`,
-    which sorts a sine block once at k >= 6.  A folded map (sine, convex)
-    steps with its lower branch, any other map with itself (its float
-    kernel :func:`_float_steps`).
+    as g^k(f) = 1 - g^k(1 - f): a scalar in one call of :func:`_cell_float`,
+    the one float kernel, an array block in :func:`_fold_iterate`, which
+    sorts a sine block once at k >= 6.  Both step a folded map (sine,
+    convex) with its lower branch, any other map with itself.
 
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
@@ -514,34 +513,22 @@ class ExtendedGenerator:
 
     def __init__(self, base: Generator):
         self.base = base
-        # (float kernel, array map) on t <= 1/2: a folded map's lower branch, else the map
+        # the array map on t <= 1/2: a folded map's lower branch, else the map
         fwd, inv = base.forward, base.inverse
-        self._up = fwd.half if isinstance(fwd, _Folded) else (partial(_float_steps, fwd), fwd)
-        self._down = inv.half if isinstance(inv, _Folded) else (partial(_float_steps, inv), inv)
+        self._up = fwd.half if isinstance(fwd, _Folded) else fwd
+        self._down = inv.half if isinstance(inv, _Folded) else inv
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"ExtendedGenerator({self.base.name!r})"
 
     def forward(self, x):
         if _is_finite_scalar(x):
-            f, n = float(x), 0.0
-            if not 0.0 <= f < 1.0:  # inside [0, 1) n is 0: no floor and no subtract
-                n = float(math.floor(f))
-                f -= n
-            upper = f > 0.5
-            t = self._up[0](1.0 - f if upper else f, 1)
-            return n + (1.0 - t if upper else t)  # 0.0 + r maps a -0.0 to +0.0, as arrays do
+            return _cell_float(self._up, float(x), 1)
         return self.iterate(x, 1)
 
     def inverse(self, y):
         if _is_finite_scalar(y):
-            f, n = float(y), 0.0
-            if not 0.0 <= f < 1.0:
-                n = float(math.floor(f))
-                f -= n
-            upper = f > 0.5
-            t = self._down[0](1.0 - f if upper else f, 1)
-            return n + (1.0 - t if upper else t)
+            return _cell_float(self._down, float(y), 1)
         return self.iterate(y, -1)
 
     def iterate(self, x, k: int):
@@ -554,15 +541,9 @@ class ExtendedGenerator:
             raise LevelRangeError(f"|k| = {_shown(steps)} exceeds the iteration cap {LEVEL_CAP}")
         half = self._up if k > 0 else self._down
         if math.isfinite(x) if type(x) is float else _is_finite_scalar(x):
-            f, n = float(x), 0.0
             if not steps:
-                return f + 0.0  # -0.0 -> 0.0, as arrays do
-            if not 0.0 <= f < 1.0:
-                n = float(math.floor(f))
-                f -= n
-            upper = f > 0.5
-            t = half[0](1.0 - f if upper else f, steps)
-            return n + (1.0 - t if upper else t)
+                return float(x) + 0.0  # -0.0 -> 0.0, as arrays do
+            return _cell_float(half, float(x), steps)
         arr = _in_float_range(np.asarray, x, float)
         if not steps:
             out = arr + 0.0  # a copy, never the caller's array
@@ -574,10 +555,10 @@ class ExtendedGenerator:
             if workers > 1:
                 # partial, not a lambda: a closure would turn iterate's locals
                 # into cells, which cost every scalar call about 0.3 us
-                _run_shares(partial(_iterate_blocks, half[1], steps, src, dst, stride=workers),
+                _run_shares(partial(_iterate_blocks, half, steps, src, dst, stride=workers),
                             workers)
             else:
-                _iterate_blocks(half[1], steps, src, dst, 0, 1)
+                _iterate_blocks(half, steps, src, dst, 0, 1)
         return float(out) if out.ndim == 0 else out
 
 

@@ -190,6 +190,21 @@ def test_gmap_iterate_composes_in_one_cell_and_splits_across(sine_eg, rng):
     assert type(got) is float and math.copysign(1.0, got) == 1.0
 
 
+@pytest.mark.parametrize("which", ["forward", "inverse", "iterate"])
+def test_gmap_rejects_an_array_element_whose_double_overflows(sine_eg, which):
+    # as the scalar does: 2x = inf would map to a silent NaN; +-inf still gives NaN
+    gmap = GMap(sine_eg)
+    fn = (lambda x: gmap.iterate(x, 2)) if which == "iterate" else getattr(gmap, which)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e308, np.array([1e308, 0.1]), np.array([[0.1], [-1e308]])):
+            with pytest.raises(DomainError, match=r"past the float range, got -?1e\+308$"):
+                fn(x)
+        out = fn(np.array([math.inf, -math.inf, math.nan, 0.1]))
+    assert np.isnan(out[:3]).all()
+    assert out[3] == fn(0.1)
+
+
 def test_singlet_from_hidden_quadrature_route(sine_eg, rng):
     # cross-check the exact arc arithmetic against the lifted integral of
     # the indicator-product density

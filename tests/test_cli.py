@@ -381,6 +381,24 @@ def test_a_grid_above_the_bound_exits_2_before_any_allocation(command, grid, tmp
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("levels, n_max", [("1", cli._MAX_ROWS + 1),
+                                           ("1,2", cli._MAX_ROWS // 2 + 1), ("1,2,3", 10**12)])
+def test_an_lln_table_above_the_row_bound_exits_2_before_any_row(levels, n_max, tmp_path,
+                                                                monkeypatch, capsys):
+    # fig3_table appends one row at a time, so 10**12 rows would run until killed
+    calls = []
+    monkeypatch.setattr(cli.lln, "fig3_table", lambda *args, **kwargs: calls.append(args) or [])
+    out = tmp_path / "out.csv"
+    argv = ["lln", "--levels", levels, "--eps", "0.1", "--n-min", "1", "--out", str(out)]
+    width = len(levels.split(","))
+    assert run(argv + ["--n-max", str(n_max)]) == 2
+    assert capsys.readouterr().err == (
+        f"nncalc: an lln table must have at most {cli._MAX_ROWS} rows, got {width * n_max}\n")
+    assert calls == [] and not out.exists()
+    # a table of up to _MAX_ROWS rows is built
+    assert run(argv + ["--n-max", str(cli._MAX_ROWS // width)]) == 0 and len(calls) == 1
+
+
 def test_empty_level_list(tmp_path):
     code, data = run_to_file(tmp_path, ["iterate", "--levels=", "--grid", "3"])
     assert code == 0 and data == b"p\n0\n0.5\n1\n"

@@ -183,6 +183,8 @@ ROWS = {
     "gmap_forward": (bell.GMap(EGEN).forward, (0.3,), "f"),
     "gmap_inverse": (bell.GMap(EGEN).inverse, (0.3,), "f"),
     "gmap_iterate": (bell.GMap(EGEN).iterate, (0.3, 2), "fi"),
+    "gmap_forward_list": (lambda x: bell.GMap(EGEN).forward([x, 0.1]), (0.3,), "f"),
+    "gmap_iterate_list": (lambda x: bell.GMap(EGEN).iterate([0.1, x], -2), (0.3,), "f"),
     "singlet_from_hidden": (bell.singlet_from_hidden, (0.3, 1.0), "ff"),
     "ch_value_level0": (lambda *quad: bell.ch_value_level0(quad), (0.1, 0.5, 1.0, 2.0), "ffff"),
     "ch_value_level1": (lambda *quad: bell.ch_value_level1(quad), (0.1, 0.5, 1.0, 2.0), "ffff"),
@@ -228,7 +230,8 @@ HUGE_INT_CASES = {
 NAN_PROPAGATES = {"forward", "inverse", "iterate", "forward_list", "iterate_list",
                   "sine_forward", "sine_inverse", "sine_forward_list", "convex_forward",
                   "convex_inverse", "convex_iterate", "gmap_forward", "gmap_inverse",
-                  "gmap_iterate", "first_power", "first_power_identity"}
+                  "gmap_iterate", "gmap_forward_list", "gmap_iterate_list", "first_power",
+                  "first_power_identity"}
 
 
 def call(name: str, slots: dict):

@@ -656,11 +656,23 @@ def test_scalar_path_matches_long_array_kernels(rng):
             assert np.array_equal(scalar.view(np.int64), np.asarray(fn(xs)).view(np.int64))
 
 
-def test_sine_generator_scalar_path(sine_gen, rng):
-    # the unit-cell sum n + g(x - n) hides the sign of a zero; the bare
-    # generator shows it.  A finite p outside [0, 1] is a DomainError on both paths.
-    for fn in (sine_gen.forward, sine_gen.inverse):
-        for x in EDGE_VALUES + NON_FINITE + list(rng.uniform(-3.0, 3.0, 500)):
+@pytest.mark.parametrize("gen", [
+    make_sine_generator(),
+    convex_combine([make_sine_generator(), make_identity_generator()], [0.5, 0.5]),
+], ids=["sine", "convex"])
+def test_sine_generator_scalar_path(gen, rng):
+    # a finite scalar takes one step of _cell_float, which splits p = 1 into
+    # n = 1 and f = 0, and adds n = 0.0 below 1, as arrays map a -0.0 to +0.0;
+    # the inverse takes a p a few ulps off 1/2 onto 1/2.  A finite p outside
+    # [0, 1] is a DomainError on both paths.
+    near_half = [math.nextafter(0.5, side) for side in (0.0, 1.0)]
+    near_half += [math.nextafter(t, side) for t, side in zip(near_half, (0.0, 1.0))]
+    inside = [0, 1, True, np.float64(1.0), 1e-300, 0.5**27, 1.0 - 0.5**27] + near_half
+    outside = [sys.float_info.max, -sys.float_info.max]
+    values = EDGE_VALUES + NON_FINITE + inside + outside
+    values += list(rng.uniform(0.0, 1.0, 200)) + list(rng.uniform(-3.0, 3.0, 500))
+    for fn in (gen.forward, gen.inverse):
+        for x in values:
             if math.isfinite(x) and not 0.0 <= x <= 1.0:
                 for arg in (x, np.array([x], dtype=float)):
                     with pytest.raises(DomainError, match=r"takes p in \[0, 1\]"):
@@ -1162,7 +1174,7 @@ def test_inverse_iterates_pin_a_lane_that_lands_on_one_half_mid_loop():
     # the float kernel and the array loop must stop: one more step would
     # leave 1/2 by an ulp
     below = [_steps_from(0.5, m, 0.0) for m in (1, 2, 3)]
-    assert [generator._asin_sqrt_half_float(t, 1) for t in below] == [0.5] * 3
+    assert [generator._cell_float(generator._asin_sqrt_half, t, 1) for t in below] == [0.5] * 3
     assert generator._asin_sqrt_half(np.array([0.5]))[0] > 0.5
     fractions = below + [1.0 - t for t in below]
     egen = sine_extended()
