@@ -179,14 +179,14 @@ def _cmd_fubini(args) -> str:
     b = _load_state(args.state_b)
     theta = fubini.geodesic_distance(a, b)
     p = fubini.hidden_prob(theta)
-    big_p = math.cos(theta) ** 2
     levels = list(range(-3, 4))
-    rungs = fubini.ladder(big_p, -3, 3, egen=_egen(args))
+    egen = _egen(args)
+    # g^j(p), not fubini.ladder(cos^2 theta): its acos(sqrt(P)) loses p near theta = 0
     return _json_text({
         "theta": theta,
         "hidden_p": p,
         "ladder_levels": levels,
-        "ladder": [float(v) for v in rungs],
+        "ladder": [egen.iterate(p, j) for j in levels],
     })
 
 

@@ -141,10 +141,10 @@ class Generator:
     t <= 1/2 only: an array block by block, a finite scalar in
     :func:`_cell_float`, the one float kernel, which calls the map on a
     float and makes its result a builtin float.  The sine and convex maps
-    are a lower branch and one fold (``_Folded``): they keep the complement
-    symmetry bitwise and map a finite scalar to a builtin ``float`` bitwise
-    equal to its element of the array result.  Values are immutable and
-    safe to share across threads.
+    are a lower branch and one fold (``_Folded``), g_R on [0, 1] after a
+    domain check: they keep the complement symmetry bitwise and map a
+    finite scalar to a builtin ``float`` bitwise equal to its element of
+    the array result.  Values are immutable and safe to share across threads.
     """
 
     name: str
@@ -153,12 +153,6 @@ class Generator:
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"Generator({self.name!r})"
-
-
-def _fold(p):
-    """t = min(p, 1 - p) as a new array, even when p is 0-d; exact on [0, 1]."""
-    t = np.subtract(1.0, p, out=np.empty(p.shape))
-    return np.minimum(p, t, out=t)
 
 
 def _unfold(p, r):
@@ -224,11 +218,11 @@ def _cell_float(half: Callable, x: float, steps: int) -> float:
 class _Folded:
     """A generator map as its lower branch on [0, 1/2] and one fold, g(p) = 1 - g(1 - p).
 
-    ``half`` is the branch as an array map that may work in place.  A finite
-    scalar takes one step of :func:`_cell_float` (p = 1 splits off n = 1),
-    all else :func:`_fold`, the array map and :func:`_unfold`, which pins 1/2.
-    A finite p outside [0, 1] is a DomainError on both paths; +-inf and NaN
-    give NaN, and a 0-d result is a float."""
+    ``half`` is the branch as an array map that may work in place.  A bare map
+    is the extended path on [0, 1] after its domain check, a finite p outside
+    [0, 1] being a DomainError: a finite scalar takes one step of
+    :func:`_cell_float` (p = 1 splits off n = 1), all else one step of
+    :func:`_iterate_array`.  +-inf and NaN give NaN; a 0-d result is a float."""
 
     def __init__(self, half: Callable):
         self.half = half
@@ -237,17 +231,11 @@ class _Folded:
         if _is_finite_scalar(p):  # float(), as a float32 would compute in float32
             return _cell_float(self.half, float(_check_in(p, 0.0, 1.0, _MAP_DOMAIN)), 1)
         p = _in_float_range(np.asarray, p, float)
-        t = _fold(p)
-        outside = (t < 0.0).any()  # exactly the lanes of p outside [0, 1]
-        if outside:
-            bad = p[(t < 0.0) & np.isfinite(p)]
+        if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # a NaN fails
+            bad = p[((p < 0.0) | (p > 1.0)) & np.isfinite(p)]
             if bad.size:
                 raise DomainError(f"{_MAP_DOMAIN}, got {float(bad[0])!r}")
-        with np.errstate(invalid="ignore"):  # sin(+-inf) is NaN: NaN propagates
-            r = _unfold(p, self.half(t))
-        if outside:  # only +-inf is left there, which the convex bisection maps into [0, 1]
-            r[np.isinf(p)] = np.nan
-        return float(r) if r.ndim == 0 else r
+        return _iterate_array(self.half, p, 1)
 
 
 #: the sine generator's maps, see make_sine_generator
@@ -319,7 +307,7 @@ def convex_combine(gens: Sequence[Generator], weights: Sequence[float]) -> Gener
         acc = w_tuple[0] * np.asarray(gen_tuple[0].forward(t))
         for g, w in zip(gen_tuple[1:], w_tuple[1:]):
             acc = acc + w * np.asarray(g.forward(t))
-        return np.asarray(acc)  # a 0-d product is a numpy scalar, and _unfold writes into it
+        return acc  # the fold loop copies it, _cell_float makes it a float
 
     lower_inverse = partial(_bisect_increasing, lower)
     names = ",".join(g.name for g in gen_tuple)
@@ -383,7 +371,8 @@ def _fold_iterate(half: Callable, p, steps: int):
     last step s is scattered back, t[order] = s.  The timings behind
     ``_SORT_STEPS`` are in CHANGES.md, under "generator.py measurements".
     """
-    t = s = _fold(p)
+    t = s = 1.0 - p
+    np.minimum(p, t, out=t)  # exact on [0, 1]
     order = None
     if half is _sin2_half and steps >= _SORT_STEPS:
         order = np.argsort(t)
@@ -472,6 +461,21 @@ def _run_shares(share: Callable, workers: int) -> None:
         raise errors[0]
 
 
+def _iterate_array(half: Callable, arr, steps: int):
+    """``steps`` >= 1 steps of g_R on the float array arr (half's fold loop), the one
+    array path: a new array in arr's shape, a float when it is 0-d.  A call of more
+    than one block deals its blocks out to the workers of :class:`ExtendedGenerator`."""
+    out = np.empty(arr.shape)
+    src, dst = arr.reshape(-1), out.reshape(-1)  # dst is a view of out
+    blocks = -(-src.size // _BLOCK)
+    workers = min(_worker_count(), blocks) if blocks > 1 else 1
+    if workers > 1:
+        _run_shares(partial(_iterate_blocks, half, steps, src, dst, stride=workers), workers)
+    else:
+        _iterate_blocks(half, steps, src, dst, 0, 1)
+    return float(out) if out.ndim == 0 else out
+
+
 class ExtendedGenerator:
     """A generator promoted to a strictly increasing bijection of the real line.
 
@@ -491,13 +495,13 @@ class ExtendedGenerator:
     A finite scalar argument never becomes a numpy array: ``forward``,
     ``inverse`` and ``iterate`` return a builtin ``float`` bitwise equal to
     what the same value gives inside an array.  Arrays and non-finite
-    scalars take the array path, ``iterate(x, k)`` with k = +1 or -1 for
-    ``forward`` and ``inverse``.  It walks the flattened input in blocks of
-    ``_BLOCK`` elements and runs all |k| steps on one block, while it is in
-    cache, before it moves to the next.  The result is a new float array in
-    the input's shape (a float when it is 0-d), bitwise equal to the scalar
-    path elementwise; the input is never written.
-    NaN propagates: +-inf and NaN give NaN, without a warning.
+    scalars take :func:`_iterate_array`, the one array path, through
+    ``iterate(x, k)``, k = +1 or -1 for ``forward`` and ``inverse``.  It
+    walks the flattened input in blocks of ``_BLOCK`` elements and runs all
+    |k| steps on one block, while it is in cache, before it moves to the
+    next.  The result is a new float array in the input's shape (a float
+    when it is 0-d), bitwise equal to the scalar path elementwise; the input
+    is never written.  NaN propagates: +-inf and NaN give NaN, without a warning.
 
     A call of more than one block deals its blocks out in turn to one
     worker per CPU the process may run on, at most ``_MAX_WORKERS`` = 2
@@ -545,20 +549,9 @@ class ExtendedGenerator:
                 return float(x) + 0.0  # -0.0 -> 0.0, as arrays do
             return _cell_float(half, float(x), steps)
         arr = _in_float_range(np.asarray, x, float)
-        if not steps:
-            out = arr + 0.0  # a copy, never the caller's array
-        else:
-            out = np.empty(arr.shape)
-            src, dst = arr.reshape(-1), out.reshape(-1)  # dst is a view of out
-            blocks = -(-src.size // _BLOCK)
-            workers = min(_worker_count(), blocks) if blocks > 1 else 1
-            if workers > 1:
-                # partial, not a lambda: a closure would turn iterate's locals
-                # into cells, which cost every scalar call about 0.3 us
-                _run_shares(partial(_iterate_blocks, half, steps, src, dst, stride=workers),
-                            workers)
-            else:
-                _iterate_blocks(half, steps, src, dst, 0, 1)
+        if steps:
+            return _iterate_array(half, arr, steps)
+        out = arr + 0.0  # a copy, never the caller's array
         return float(out) if out.ndim == 0 else out
 
 

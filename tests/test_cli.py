@@ -14,6 +14,11 @@ from conftest import python_process
 from nncalc import cli, entropy, probability
 from nncalc.cli import build_parser, run
 from nncalc.errors import QuadratureError
+from nncalc.generator import sine_extended
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
 
 
 def run_to_file(tmp_path, args, name="out.txt"):
@@ -137,6 +142,19 @@ def test_fubini(tmp_path):
     assert report["hidden_p"] == pytest.approx(0.5, abs=1e-12)
     assert report["ladder_levels"] == list(range(-3, 4))
     assert report["ladder"] == pytest.approx([0.5] * 7, abs=1e-12)
+    # near theta = 0 the ladder is g^j(hidden_p) bitwise; through P = cos^2 theta
+    # and acos(sqrt(P)), level 0 missed hidden_p by about 1200 ulps
+    delta = 1e-5
+    state_b.write_text(json.dumps({"components": [[math.cos(delta), 0.0],
+                                                  [math.sin(delta), 0.0]]}))
+    code, data = run_to_file(
+        tmp_path, ["fubini", "--state-a", str(state_a), "--state-b", str(state_b)])
+    assert code == 0
+    report = json.loads(data)
+    p = report["hidden_p"]
+    assert report["ladder"][3] == p
+    assert [_bits(v) for v in report["ladder"]] == [_bits(sine_extended().iterate(p, j))
+                                                     for j in range(-3, 4)]
 
 
 def test_fubini_huge_components(tmp_path):

@@ -315,8 +315,8 @@ def test_convex_scalar_is_a_builtin_float_equal_to_its_array_element():
 
 @pytest.mark.parametrize("which", ["forward", "inverse"])
 def test_convex_maps_of_nan_0d_and_empty_input(which):
-    # the lower branch must hand _unfold an array it can write into, also
-    # when its products are numpy scalars
+    # NaN, a 0-d array and an empty array run the extended array path, which
+    # keeps NaN, makes a 0-d result a float and an empty one an empty array
     fn = getattr(CONVEX, which)
     for x in (math.nan, np.float64(math.nan), np.array(math.nan)):
         out = fn(x)
@@ -688,16 +688,26 @@ def test_sine_generator_scalar_path(gen, rng):
     make_sine_generator(),
     convex_combine([make_sine_generator(), make_identity_generator()], [0.5, 0.5]),
 ], ids=["sine", "convex"])
-def test_bare_maps_turn_inf_and_nan_into_a_float_nan(gen, which):
-    # the inverses clamp their half-map argument into [0, 1/2], and the convex
-    # one brackets it, so +-inf needs the NaN written over its lanes
+def test_bare_maps_turn_inf_and_nan_into_a_float_nan(gen, which, worker_counts, monkeypatch):
+    # an array takes the extended array path, g_R on [0, 1]: +-inf and NaN
+    # give NaN, each lane is bitwise the extended map's, and three blocks are
+    # dealt out to two workers
     fn = getattr(gen, which)
     for x in NON_FINITE:
         out = fn(x)
         assert type(out) is float and math.isnan(out), x
-    out = fn(np.array([math.inf, -math.inf, math.nan, 0.3]))
-    assert np.isnan(out[:3]).all()
-    assert _bits(out[3]) == _bits(fn(0.3))
+    monkeypatch.setattr(generator, "_worker_count", lambda: 2)
+    xs = np.random.default_rng(30).random(3 * _BLOCK)
+    special = [0.0, -0.0, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 0.5, 1.0,
+               *NON_FINITE]
+    for at in (0, _BLOCK - 4, 2 * _BLOCK + 5, xs.size - len(special)):
+        xs[at:at + len(special)] = special
+    kept = xs.tobytes()
+    out = fn(xs)
+    assert worker_counts == [2]
+    assert _same_bits(out, getattr(ExtendedGenerator(gen), which)(xs))
+    assert np.isnan(out[~np.isfinite(xs)]).all() and np.isfinite(out[np.isfinite(xs)]).all()
+    assert xs.tobytes() == kept
 
 
 # ------------------------------------------------- blocked array path
@@ -1195,7 +1205,7 @@ def test_unfold_is_the_two_branch_form_bitwise():
     p = np.concatenate([[0.0, -0.0, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
                          1.0, math.nan, -math.nan], rng.random(10_000)])
     for half in (generator._sin2_half, generator._asin_sqrt_half):
-        r = half(generator._fold(p))
+        r = half(np.minimum(p, 1.0 - p))
         ref = np.where(p > 0.5, 1.0 - r, r + 0.0)
         ref[p == 0.5] = 0.5
         assert _same_bits(generator._unfold(p, r.copy()), ref), half
